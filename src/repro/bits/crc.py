@@ -6,14 +6,16 @@ scratch:
 
 * :class:`CrcSpec` -- the standard Rocksoft parameter model
   (width / polynomial / init / reflect-in / reflect-out / xor-out);
-* :class:`CrcEngine` -- two interchangeable implementations:
+* :class:`CrcEngine` -- one byte-at-a-time computation over 256-entry
+  tables, modelling either implementation a tag could run:
 
-  - ``bitwise``: the textbook shift-register algorithm, O(l) in the message
-    length with a handful of operations per bit.  This is the engine the
-    paper's Table IV instruction-count argument is about, so it also counts
-    the operations it performs (see :attr:`CrcEngine.last_op_count`).
-  - ``table``: byte-at-a-time with a 256-entry lookup table (the "1 KB
-    extra memory" of Table IV for a 32-bit CRC).
+  - ``bitwise``: the textbook shift register, O(l) in the message length
+    with a handful of operations per bit.  This is the implementation the
+    paper's Table IV instruction-count argument is about, so the engine
+    reports the register's exact op count (:attr:`CrcEngine.last_op_count`)
+    -- read from a per-byte table, without running it bit by bit.
+  - ``table``: the 256-entry lookup table (the "1 KB extra memory" of
+    Table IV for a 32-bit CRC); no shift-register ops are counted.
 
 Registered parameter sets (check values from the standard CRC catalogue,
 message ``b"123456789"``):
@@ -44,9 +46,8 @@ revisions ship instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.bits.bitvec import BitVector
 
@@ -131,18 +132,64 @@ CRC32_IEEE = CrcSpec(
 )
 
 
+#: Every byte value bit-reversed: ``refin`` / ``refout`` as one
+#: ``bytes.translate`` over a whole byte string.
+_REVERSE_BYTE = bytes(reflect(b, 8) for b in range(256))
+
+
+def _shift_bits(
+    reg: int, bits: int, n: int, nbits: int, poly: int
+) -> tuple[int, int]:
+    """Feed the low ``n`` bits of ``bits`` MSB-first through an
+    ``nbits``-wide shift register; returns the register and the ops
+    spent (a shift and a compare per bit, an xor per feedback)."""
+    top = nbits - 1
+    mask = (1 << nbits) - 1
+    ops = 2 * n
+    for k in range(n - 1, -1, -1):
+        feedback = (reg >> top) ^ ((bits >> k) & 1)
+        reg = (reg << 1) & mask
+        if feedback:
+            reg ^= poly
+            ops += 1
+    return reg, ops
+
+
+@functools.cache
+def _byte_tables(nbits: int, poly: int) -> tuple[list[int], list[int]]:
+    """For every top byte ``idx``: the register ``idx << (nbits - 8)``
+    after 8 shifts, and the ops those shifts spend."""
+    regs, ops = [], []
+    for idx in range(256):
+        reg, count = _shift_bits(idx << (nbits - 8), 0, 8, nbits, poly)
+        regs.append(reg)
+        ops.append(count)
+    return regs, ops
+
+
 class CrcEngine:
     """A CRC calculator over bit strings.
+
+    The shift register runs a byte at a time.  It is left-aligned to a
+    whole number of bytes, so the feedback decisions of the next 8 shifts
+    depend only on its top byte XOR the data byte ``idx``: one lookup
+    gives the register after those shifts (``reg << 8`` XOR the table
+    entry) and another the operations the bit-serial register would have
+    spent on them -- a shift and a compare per bit plus one xor per
+    feedback.  A ragged tail (``len % 8`` bits) is shifted bit by bit.
+    ``refin`` feeds each byte, the tail included, LSB-first, and
+    ``refout`` reverses the final register.
 
     Parameters
     ----------
     spec:
         The CRC parameter set.
     method:
-        ``"bitwise"`` (shift register, counts its operations) or
-        ``"table"`` (byte-wise lookup; requires bit lengths divisible by 8
-        unless ``refin`` is False, in which case trailing bits fall back to
-        the bitwise path).
+        Which implementation a tag is modelled to run (Table IV); the
+        computation is the same.  ``"bitwise"`` (the shift register)
+        sets :attr:`last_op_count`; ``"table"`` (a lookup table of
+        :attr:`table_memory_bytes`, width >= 8) runs no shift register
+        and leaves it at 0.
     """
 
     def __init__(self, spec: CrcSpec, method: str = "bitwise") -> None:
@@ -152,44 +199,21 @@ class CrcEngine:
             raise ValueError("table-driven CRC requires width >= 8")
         self.spec = spec
         self.method = method
-        self._mask = (1 << spec.width) - 1
-        self._top = 1 << (spec.width - 1)
-        self._table: np.ndarray | None = None
-        #: Number of primitive shift/xor operations performed by the most
-        #: recent :meth:`compute_bits` call (bitwise method only).  Backs the
-        #: Table IV instruction-count comparison.
+        self._nbytes = (spec.width + 7) // 8
+        self._nbits = 8 * self._nbytes
+        self._align = self._nbits - spec.width
+        self._poly = spec.poly << self._align
+        self._regs, self._ops = _byte_tables(self._nbits, self._poly)
+        #: Primitive shift/compare/xor operations the shift register
+        #: performs for the most recent computation (bitwise method only).
+        #: Backs the Table IV instruction-count comparison.
         self.last_op_count: int = 0
-        if method == "table":
-            self._table = self._build_table()
-
-    # ------------------------------------------------------------------
-    # Table construction
-    # ------------------------------------------------------------------
-
-    def _build_table(self) -> np.ndarray:
-        """The classic 256-entry byte table (1 KB of uint32 for CRC-32)."""
-        spec = self.spec
-        table = np.zeros(256, dtype=np.uint64)
-        for byte in range(256):
-            if spec.refin:
-                reg = reflect(byte, 8) << (spec.width - 8) if spec.width >= 8 else 0
-            else:
-                reg = byte << (spec.width - 8) if spec.width >= 8 else 0
-            for _ in range(8):
-                if reg & self._top:
-                    reg = ((reg << 1) ^ spec.poly) & self._mask
-                else:
-                    reg = (reg << 1) & self._mask
-            if spec.refin:
-                reg = reflect(reg, spec.width)
-            table[byte] = reg
-        return table
 
     @property
     def table_memory_bytes(self) -> int:
         """Memory footprint of the lookup table: 256 entries of
         ``ceil(width/8)`` bytes (1 KB for CRC-32, per the paper's Table IV)."""
-        return 256 * ((self.spec.width + 7) // 8)
+        return 256 * self._nbytes
 
     # ------------------------------------------------------------------
     # Computation
@@ -198,66 +222,46 @@ class CrcEngine:
     def compute_bits(self, bits: BitVector) -> BitVector:
         """CRC of an arbitrary-length bit string, returned as a BitVector of
         ``spec.width`` bits."""
-        if self.method == "table" and bits.length % 8 == 0:
-            value = self._compute_table(bits.to_bytes())
-        else:
-            value = self._compute_bitwise(bits)
-        return BitVector(value, self.spec.width)
+        tail_bits = bits.length % 8
+        value = bits.to_int()
+        data = (value >> tail_bits).to_bytes(bits.length // 8, "big")
+        tail = value & ((1 << tail_bits) - 1)
+        return BitVector(self._compute(data, tail, tail_bits), self.spec.width)
 
     def compute_bytes(self, data: bytes) -> int:
         """CRC of a byte string, as an integer (catalogue convention)."""
-        if self.method == "table":
-            return self._compute_table(data)
-        return self._compute_bitwise(BitVector.from_bytes(data))
+        return self._compute(data, 0, 0)
 
-    def _compute_bitwise(self, bits: BitVector) -> int:
+    def _compute(self, data: bytes, tail: int, tail_bits: int) -> int:
         spec = self.spec
-        reg = spec.init
+        if spec.refin:
+            data = data.translate(_REVERSE_BYTE)
+            tail = _REVERSE_BYTE[tail] >> (8 - tail_bits)
+        shift = self._nbits - 8
+        mask = (1 << self._nbits) - 1
+        regs, op_table = self._regs, self._ops
+        reg = spec.init << self._align
         ops = 0
-        if spec.refin:
-            # Reflected input: process each byte LSB-first.  For bit strings
-            # whose length is not a multiple of 8 we process bit-by-bit in
-            # transmission order after per-byte reflection of whole bytes.
-            stream = self._reflected_bit_stream(bits)
-        else:
-            stream = iter(bits)
-        for bit in stream:
-            top = (reg >> (spec.width - 1)) & 1
-            reg = ((reg << 1) & self._mask) | 0
-            if top ^ bit:
-                reg ^= spec.poly
-                ops += 1
-            ops += 2  # shift + compare
+        for byte in data:
+            idx = (reg >> shift) ^ byte
+            reg = ((reg << 8) & mask) ^ regs[idx]
+            ops += op_table[idx]
+        if tail_bits:
+            reg, tail_ops = _shift_bits(
+                reg, tail, tail_bits, self._nbits, self._poly
+            )
+            ops += tail_ops
         if spec.refout:
-            reg = reflect(reg, spec.width)
-        self.last_op_count = ops
-        return (reg ^ spec.xorout) & self._mask
-
-    @staticmethod
-    def _reflected_bit_stream(bits: BitVector):
-        """Yield bits with each whole byte reversed (refin semantics)."""
-        raw = bits.to_bits()
-        for i in range(0, len(raw), 8):
-            chunk = raw[i : i + 8]
-            yield from reversed(chunk)
-
-    def _compute_table(self, data: bytes) -> int:
-        spec = self.spec
-        assert self._table is not None
-        reg = spec.init
-        if spec.refin:
-            reg = reflect(reg, spec.width)
-            for byte in data:
-                idx = (reg ^ byte) & 0xFF
-                reg = (reg >> 8) ^ int(self._table[idx])
+            # Reversing the aligned register reflects the low ``width`` bits.
+            reg = int.from_bytes(
+                reg.to_bytes(self._nbytes, "little").translate(_REVERSE_BYTE),
+                "big",
+            )
         else:
-            shift = spec.width - 8
-            for byte in data:
-                idx = ((reg >> shift) ^ byte) & 0xFF if shift >= 0 else byte
-                reg = ((reg << 8) & self._mask) ^ int(self._table[idx])
-        if spec.refout != spec.refin:
-            reg = reflect(reg, spec.width)
-        return (reg ^ spec.xorout) & self._mask
+            reg >>= self._align
+        if self.method == "bitwise":
+            self.last_op_count = ops
+        return reg ^ spec.xorout
 
     # ------------------------------------------------------------------
     # Self test

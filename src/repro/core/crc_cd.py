@@ -63,10 +63,10 @@ class CRCCDDetector(CollisionDetector):
             if self.id_bits + self.engine.spec.width <= 64
             else None
         )
-        # A tag's payload is a pure function of its ID, so the packed path
-        # memoizes (value, crc_op_count) per ID and replays the op count
-        # into the counters on every transmission -- identical Table IV
-        # accounting without recomputing the CRC each slot.
+        # A tag's payload is a pure function of its ID, so both payload
+        # paths memoize (value, crc_op_count) per ID and replay the op
+        # count into the counters on every transmission -- identical
+        # Table IV accounting without recomputing the CRC each slot.
         self._payload_memo: dict[int, tuple[int, int]] = {}
         #: Instrumentation for the Table IV comparison.
         self.classify_calls = 0
@@ -85,11 +85,7 @@ class CRCCDDetector(CollisionDetector):
     def contention_payload(self, tag_id: int, rng: RngStream) -> BitVector:
         """``id ⊕ crc(id)``.  The tag-side CRC computation is also counted
         (the paper's point is precisely that *tags* must run CRC)."""
-        id_vec = BitVector(tag_id, self.id_bits)
-        crc = self.engine.compute_bits(id_vec)
-        self.crc_computations += 1
-        self.crc_ops_total += self.engine.last_op_count
-        return id_vec + crc
+        return BitVector(self._payload(tag_id), self.contention_bits)
 
     def classify(self, signal: BitVector | None) -> SlotOutcome:
         self.classify_calls += 1
@@ -119,6 +115,11 @@ class CRCCDDetector(CollisionDetector):
         only the recomputation is memoized.
         """
         del rng
+        return self._payload(tag_id)
+
+    def _payload(self, tag_id: int) -> int:
+        """The packed payload from the per-ID memo, charging the tag-side
+        CRC's op count on every call."""
         memo = self._payload_memo.get(tag_id)
         if memo is None:
             crc = self.engine.compute_bits(BitVector(tag_id, self.id_bits))
@@ -157,11 +158,11 @@ class CRCCDDetector(CollisionDetector):
     ) -> "np.ndarray":
         """Frame classification: vectorized idle handling, scalar CRCs.
 
-        The CRC over each occupied slot's (possibly OR-overlapped) ID
-        field cannot be vectorized without forfeiting the data-dependent
-        ``crc_ops_total`` accounting, so occupied slots delegate to
-        :meth:`classify_packed`; the win is skipping the idle majority of
-        late frames.
+        Each occupied slot's (possibly OR-overlapped) ID field gets its
+        own CRC through :meth:`classify_packed`, which charges the shift
+        register's exact, data-dependent op count; the engine's byte
+        tables make that a few lookups per byte.  The win here is
+        skipping the idle majority of late frames.
         """
         n_slots = len(counts)
         out = np.full(n_slots, int(SlotType.IDLE), dtype=np.int64)

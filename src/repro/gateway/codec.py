@@ -363,12 +363,14 @@ class KeepaliveAck:
         return cls()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TagReport:
     """Gateway -> client: one tag identified (streamed as slots resolve).
 
     ``airtime`` is the inventory's simulated clock at the end of the
     identifying slot (units of tau), carried as an IEEE-754 double.
+    Slotted: an :class:`~repro.gateway.client.InventorySummary` holds
+    one per identified tag.
     """
 
     CMD = 0x12

@@ -79,8 +79,8 @@ def _instructions_per_response(detector: CollisionDetector) -> float:
     if isinstance(detector, CRCCDDetector):
         # ~2.5 ops per message bit for the shift register (measured by
         # repro.core.cost); use the detector's own average when it has
-        # been exercised, else the model.
-        if detector.crc_computations:
+        # counted ops, else the model (a table engine counts none).
+        if detector.crc_ops_total:
             return detector.crc_ops_total / detector.crc_computations
         return 2.5 * detector.id_bits
     if detector.needs_id_phase:

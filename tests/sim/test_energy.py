@@ -69,6 +69,19 @@ class TestAccounting:
         )
         assert per_resp_crc > 100 * per_resp_qcd
 
+    def test_table_engine_falls_back_to_modelled_ops(self):
+        """A table engine counts no shift-register ops; the tag is still
+        charged the modelled ~2.5 ops per ID bit, not zero."""
+        det = CRCCDDetector(id_bits=64, method="table")
+        det.contention_payload(0x1234, make_rng(1))
+        det.classify(None)
+        assert det.crc_computations == 1
+        assert det.crc_ops_total == 0
+        result = run(det)
+        e = inventory_energy(result.trace, det, TimingModel())
+        responses = sum(r.n_responders for r in result.trace)
+        assert e.tag_compute == pytest.approx(responses * 2.5 * 64 * 0.5e-3)
+
 
 class TestSchemeComparison:
     def test_qcd_saves_tag_and_reader_energy(self):
