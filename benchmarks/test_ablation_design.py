@@ -21,21 +21,22 @@ from repro.core.crc_cd import CRCCDDetector
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 
 N, F = 500, 300
 
 
+def _rngs(seed, rounds):
+    return [np.random.default_rng(seed + r) for r in range(rounds)]
+
+
 def kernel(strength, seed=0, rounds=10):
     det = QCDDetector(strength)
-    out = []
-    for r in range(rounds):
-        out.append(
-            fsa_fast(N, F, det, TimingModel(), np.random.default_rng(seed + r))
-        )
-    return out
+    return list(
+        fsa_fast_batch(N, F, det, TimingModel(), _rngs(seed, rounds)).runs
+    )
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -144,10 +145,9 @@ def test_variable_slot_contribution(benchmark):
     def compute():
         runs_qcd = kernel(8, seed=100)
         det_crc = CRCCDDetector(id_bits=64)
-        runs_crc = [
-            fsa_fast(N, F, det_crc, TimingModel(), np.random.default_rng(100 + r))
-            for r in range(10)
-        ]
+        runs_crc = fsa_fast_batch(
+            N, F, det_crc, TimingModel(), _rngs(100, 10)
+        ).runs
         t_qcd = sum(s.total_time for s in runs_qcd) / len(runs_qcd)
         t_crc = sum(s.total_time for s in runs_crc) / len(runs_crc)
         counts = runs_qcd[0].true_counts

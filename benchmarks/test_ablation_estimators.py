@@ -25,7 +25,7 @@ from repro.protocols.estimators import (
     SchouteEstimator,
     VogtEstimator,
 )
-from repro.sim.fast import dfsa_fast
+from repro.sim.batch import dfsa_fast_batch
 
 N = 5000
 INITIAL = 64
@@ -42,15 +42,15 @@ ESTIMATORS = {
 
 def race(estimator):
     slots, frames, times = [], [], []
-    for seed in SEEDS:
-        stats = dfsa_fast(
-            N,
-            INITIAL,
-            estimator,
-            QCDDetector(8),
-            TimingModel(),
-            np.random.default_rng(1000 + seed),
-        )
+    runs = dfsa_fast_batch(
+        N,
+        INITIAL,
+        estimator,
+        QCDDetector(8),
+        TimingModel(),
+        [np.random.default_rng(1000 + seed) for seed in SEEDS],
+    ).runs
+    for stats in runs:
         assert stats.true_counts.single == N
         slots.append(stats.true_counts.total)
         frames.append(stats.frames)
@@ -95,14 +95,14 @@ def test_estimator_robust_to_bad_start(benchmark):
     converge in a handful of frames thanks to geometric frame growth."""
 
     def compute():
-        return dfsa_fast(
+        return dfsa_fast_batch(
             N,
             16,
             EomLeeEstimator(),
             QCDDetector(8),
             TimingModel(),
-            np.random.default_rng(77),
-        )
+            [np.random.default_rng(77)],
+        ).runs[0]
 
     stats = benchmark.pedantic(compute, rounds=1, iterations=1)
     assert stats.true_counts.single == N

@@ -25,16 +25,14 @@ from repro.core.crc_cd import CRCCDDetector
 from repro.core.gen2_timing import Gen2TimingModel
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 
 N, F = 500, 300
 
 
 def mean_time(detector, timing, rounds=10, seed=0):
-    runs = [
-        fsa_fast(N, F, detector, timing, np.random.default_rng(seed + r))
-        for r in range(rounds)
-    ]
+    rngs = [np.random.default_rng(seed + r) for r in range(rounds)]
+    runs = fsa_fast_batch(N, F, detector, timing, rngs).runs
     return sum(s.total_time for s in runs) / rounds
 
 

@@ -17,7 +17,7 @@ from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.protocols.bt import BinaryTree
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.fast import bt_fast, fsa_fast
+from repro.sim.batch import bt_fast_batch, fsa_fast_batch
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 
@@ -39,9 +39,9 @@ def test_exact_reader_fsa(benchmark):
 @pytest.mark.benchmark(group="fsa-kernel")
 def test_vectorized_kernel_fsa(benchmark):
     def run():
-        return fsa_fast(
-            N, 600, QCDDetector(8), TimingModel(), np.random.default_rng(1)
-        )
+        return fsa_fast_batch(
+            N, 600, QCDDetector(8), TimingModel(), [np.random.default_rng(1)]
+        ).runs[0]
 
     stats = benchmark.pedantic(run, rounds=20, iterations=1)
     assert stats.true_counts.single == N
@@ -62,7 +62,9 @@ def test_exact_reader_bt(benchmark):
 @pytest.mark.benchmark(group="bt-kernel")
 def test_vectorized_kernel_bt(benchmark):
     def run():
-        return bt_fast(N, QCDDetector(8), TimingModel(), np.random.default_rng(2))
+        return bt_fast_batch(
+            N, QCDDetector(8), TimingModel(), [np.random.default_rng(2)]
+        ).runs[0]
 
     stats = benchmark.pedantic(run, rounds=20, iterations=1)
     assert stats.true_counts.single == N
@@ -74,13 +76,13 @@ def test_kernel_case_iv_scale(benchmark):
     single kernel call."""
 
     def run():
-        return fsa_fast(
+        return fsa_fast_batch(
             50_000,
             30_000,
             QCDDetector(8),
             TimingModel(),
-            np.random.default_rng(3),
-        )
+            [np.random.default_rng(3)],
+        ).runs[0]
 
     stats = benchmark.pedantic(run, rounds=3, iterations=1)
     assert stats.true_counts.single == 50_000

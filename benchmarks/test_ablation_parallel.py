@@ -126,8 +126,8 @@ def test_warm_cache_skips_all_kernels(benchmark, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("kernel invoked despite warm cache")
 
-    monkeypatch.setattr(par, "fsa_fast", boom)
-    monkeypatch.setattr(par, "bt_fast", boom)
+    monkeypatch.setattr(par, "fsa_fast_batch", boom)
+    monkeypatch.setattr(par, "bt_fast_batch", boom)
 
     def warm_run():
         with ExperimentSuite(

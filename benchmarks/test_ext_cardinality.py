@@ -56,7 +56,7 @@ def test_estimation_airtime_comparison(benchmark):
 def test_estimation_cheaper_than_identification(benchmark):
     """Counting should cost a small fraction of reading: compare probing
     airtime for a ±5% estimate with the full QCD inventory time."""
-    from repro.sim.fast import fsa_fast
+    from repro.sim.batch import fsa_fast_batch
 
     def compute():
         det = QCDDetector(8)
@@ -70,13 +70,13 @@ def test_estimation_cheaper_than_identification(benchmark):
             est = estimate_cardinality(
                 N_TRUE, FRAME, frames, det, timing, np.random.default_rng(7)
             )
-        inv = fsa_fast(
+        inv = fsa_fast_batch(
             N_TRUE,
             int(N_TRUE * 0.6),
             det,
             timing,
-            np.random.default_rng(8),
-        )
+            [np.random.default_rng(8)],
+        ).runs[0]
         return est, inv
 
     est, inv = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -16,7 +16,7 @@ from repro.apps.missing_tags import detect_missing_tags
 from repro.core.crc_cd import CRCCDDetector
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 
 
 def verify(n, n_missing, detector, seed=3):
@@ -37,13 +37,13 @@ def test_verification_vs_inventory(benchmark):
 
     def compute():
         ver = verify(n, 50, QCDDetector(8))
-        inv = fsa_fast(
+        inv = fsa_fast_batch(
             n,
             int(n * 0.6),
             QCDDetector(8),
             TimingModel(),
-            np.random.default_rng(5),
-        )
+            [np.random.default_rng(5)],
+        ).runs[0]
         return ver, inv
 
     ver, inv = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -15,7 +15,7 @@ from bench_util import show
 from repro.analysis.fsa_theory import expected_throughput, max_throughput
 from repro.core.ideal import IdealDetector
 from repro.core.timing import TimingModel
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 
 
 def first_frame_throughput(n, frame, seeds=range(12)):
@@ -64,14 +64,14 @@ def test_lemma1_full_inventory_bound(benchmark):
     def run():
         out = []
         for frame in (200, 400, 800):
-            stats = fsa_fast(
+            (stats,) = fsa_fast_batch(
                 400,
                 frame,
                 IdealDetector(64),
                 TimingModel(),
-                np.random.default_rng(7),
+                [np.random.default_rng(7)],
                 confirm_frame=False,
-            )
+            ).runs
             out.append(stats.true_counts.throughput)
         return out
 

@@ -19,17 +19,19 @@ from repro.analysis.bt_theory import (
 )
 from repro.core.ideal import IdealDetector
 from repro.core.timing import TimingModel
-from repro.sim.fast import bt_fast
+from repro.sim.batch import bt_fast_batch
 
 
 def test_lemma2_recursion_vs_simulation(benchmark):
     n = 200
 
     def run():
-        sims = [
-            bt_fast(n, IdealDetector(64), TimingModel(), np.random.default_rng(s))
-            for s in range(25)
-        ]
+        sims = bt_fast_batch(
+            n,
+            IdealDetector(64),
+            TimingModel(),
+            [np.random.default_rng(s) for s in range(25)],
+        ).runs
         return {
             "total": sum(s.true_counts.total for s in sims) / len(sims),
             "collided": sum(s.true_counts.collided for s in sims) / len(sims),

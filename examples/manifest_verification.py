@@ -20,7 +20,7 @@ import numpy as np
 from repro import CRCCDDetector, QCDDetector, TimingModel
 from repro.apps.missing_tags import detect_missing_tags, expected_rounds
 from repro.experiments.report import render_table
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 
 
 def main() -> int:
@@ -57,9 +57,9 @@ def main() -> int:
         )
     print(render_table(rows, title="Verification sweep"))
 
-    inventory = fsa_fast(
-        n, (n * 3) // 5, QCDDetector(8), TimingModel(), np.random.default_rng(19)
-    )
+    inventory = fsa_fast_batch(
+        n, (n * 3) // 5, QCDDetector(8), TimingModel(), [np.random.default_rng(19)]
+    ).runs[0]
     ver = results["QCD-8"]
     print(
         f"\nFor comparison, *reading* the same pallet with QCD-8 costs "

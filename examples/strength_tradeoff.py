@@ -21,7 +21,7 @@ from repro.analysis.accuracy import expected_accuracy_fsa, required_strength
 from repro.bits.rng import make_rng
 from repro.core.timing import TimingModel
 from repro.experiments.report import render_table
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 
 
 def sweep_strengths(n_tags: int, frame: int, rounds: int = 20):
@@ -29,10 +29,8 @@ def sweep_strengths(n_tags: int, frame: int, rounds: int = 20):
     for strength in (1, 2, 4, 8, 12, 16):
         det = QCDDetector(strength)
         timing = TimingModel()
-        stats = [
-            fsa_fast(n_tags, frame, det, timing, np.random.default_rng(s))
-            for s in range(rounds)
-        ]
+        rngs = [np.random.default_rng(s) for s in range(rounds)]
+        stats = fsa_fast_batch(n_tags, frame, det, timing, rngs).runs
         acc = sum(s.accuracy for s in stats) / rounds
         ur = sum(s.utilization for s in stats) / rounds
         t = sum(s.total_time for s in stats) / rounds

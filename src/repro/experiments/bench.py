@@ -1,27 +1,29 @@
 """``repro-bench`` -- kernel throughput measurement and regression gate.
 
-Measures wall-clock per Monte-Carlo round for the streamed kernels
-(:mod:`repro.sim.fast`), the round-batched kernels
-(:mod:`repro.sim.batch`) and the exact Reader's three tiers -- object,
-per-slot uint64 packed, and frame-batched -- then writes a
-machine-readable ``BENCH_kernels.json`` (and, with ``--reader-out``, a
-reader-only document matching ``benchmarks/BENCH_reader.json``).
+Measures wall-clock per Monte-Carlo round for the kernels
+(:mod:`repro.sim.batch`), the frozen pre-batching reference kernels
+(``benchmarks/_reference_kernels.py``, loaded from ``--frozen-dir``) and
+the exact Reader's three tiers -- object, per-slot uint64 packed, and
+frame-batched -- then writes a machine-readable ``BENCH_kernels.json``
+(and, with ``--reader-out``, a reader-only document matching
+``benchmarks/BENCH_reader.json``).
 
 Because absolute timings are machine-bound, the regression gate compares
-*within-run speedup ratios* (batched over streamed, packed/frame-batched
-over object), which transfer across machines::
+*within-run speedup ratios* (kernels over the frozen reference measured
+on the same machine, packed/frame-batched over object), which transfer
+across machines::
 
     repro-bench --quick --out BENCH_kernels.json \\
                 --baseline benchmarks/BENCH_kernels.json \\
+                --frozen-dir benchmarks \\
                 --reader-out BENCH_reader.json \\
                 --reader-baseline benchmarks/BENCH_reader.json
 
-fails (exit 1) when a batched kernel drops below streamed throughput or
-when any speedup ratio regresses more than ``--tolerance`` (default 25%)
-against the committed baseline.  When a ``--frozen-dir`` containing the
-vendored pre-batching kernels (``benchmarks/_reference_kernels.py``) is
-present, the frozen engines are measured too, so the report carries the
-full ablation story; the gate never depends on them.
+fails (exit 1) when a kernel drops below the frozen reference's
+throughput or when any speedup ratio regresses more than ``--tolerance``
+(default 25%) against the committed baseline.  ``--baseline`` needs the
+frozen kernels: without ``_reference_kernels.py`` in ``--frozen-dir``
+the run stops with an error instead of gating nothing.
 
 The committed baseline is regenerated after an *intentional* perf change
 with the same command CI runs (see ``.github/workflows/ci.yml``).
@@ -44,7 +46,6 @@ from repro.core.timing import TimingModel
 from repro.protocols.estimators import SchouteEstimator
 from repro.protocols.fsa import FramedSlottedAloha
 from repro.sim.batch import bt_fast_batch, dfsa_fast_batch, fsa_fast_batch
-from repro.sim.fast import bt_fast, dfsa_fast, fsa_fast
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 from repro.bits.rng import make_rng
@@ -112,32 +113,17 @@ def run_bench(
 
     variants: dict[str, dict[str, Callable[[], object]]] = {
         "fsa": {
-            "streamed": lambda: [
-                fsa_fast(n_tags, frame_size, det, timing, g)
-                for g in _gens(_children(1, rounds))
-            ],
             "batched": lambda: fsa_fast_batch(
                 n_tags, frame_size, det, timing, _children(1, rounds)
             ),
         },
         "dfsa": {
-            "streamed": lambda: [
-                dfsa_fast(
-                    n_tags, frame_size, SchouteEstimator(), det, timing, g,
-                    max_frame_size=1 << 17,
-                )
-                for g in _gens(_children(2, rounds))
-            ],
             "batched": lambda: dfsa_fast_batch(
                 n_tags, frame_size, SchouteEstimator(), det, timing,
                 _children(2, rounds), max_frame_size=1 << 17,
             ),
         },
         "bt": {
-            "streamed": lambda: [
-                bt_fast(n_tags, det, timing, g)
-                for g in _gens(_children(3, rounds))
-            ],
             "batched": lambda: bt_fast_batch(
                 n_tags, det, timing, _children(3, rounds)
             ),
@@ -173,9 +159,6 @@ def run_bench(
         for engine in engines:
             n_r = 1 if engine == "frozen" and proto == "bt" else rounds
             entry[f"{engine}_ms_per_round"] = best[engine] / n_r * 1_000.0
-        entry["batch_speedup_vs_streamed"] = (
-            entry["streamed_ms_per_round"] / entry["batched_ms_per_round"]
-        )
         if "frozen_ms_per_round" in entry:
             entry["batch_speedup_vs_frozen"] = (
                 entry["frozen_ms_per_round"] / entry["batched_ms_per_round"]
@@ -234,14 +217,14 @@ def check_against_baseline(
     """Ratio-based regression findings (empty when the gate passes)."""
     problems: list[str] = []
     for proto, entry in report["kernels"].items():
-        ratio = entry["batch_speedup_vs_streamed"]
+        ratio = entry["batch_speedup_vs_frozen"]
         if ratio < 1.0:
             problems.append(
-                f"{proto}: batched kernel is slower than streamed "
-                f"(speedup {ratio:.2f}x < 1.0x)"
+                f"{proto}: batched kernel is slower than the frozen "
+                f"reference (speedup {ratio:.2f}x < 1.0x)"
             )
         base = baseline.get("kernels", {}).get(proto, {}).get(
-            "batch_speedup_vs_streamed"
+            "batch_speedup_vs_frozen"
         )
         if base is not None and ratio < base * (1.0 - tolerance):
             problems.append(
@@ -293,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description=(
-            "Measure streamed vs round-batched kernel throughput and the "
-            "Reader's object vs uint64 paths; gate CI on speedup ratios."
+            "Measure the batched kernels against the frozen reference "
+            "kernels and the Reader's object vs uint64 paths; gate CI on "
+            "speedup ratios."
         ),
     )
     parser.add_argument(
@@ -355,31 +339,40 @@ def build_parser() -> argparse.ArgumentParser:
         default="benchmarks",
         metavar="DIR",
         help=(
-            "directory holding _reference_kernels.py (the vendored "
-            "pre-batching engines); skipped silently when absent"
+            "directory holding _reference_kernels.py (the frozen "
+            "pre-batching kernels); required with --baseline"
         ),
     )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     params = dict(QUICK if args.quick else FULL)
     for key in params:
         override = getattr(args, key)
         if override is not None:
             params[key] = override
     frozen = _load_frozen(args.frozen_dir)
+    if args.baseline and frozen is None:
+        parser.error(
+            f"--baseline gates the speedup over the frozen reference "
+            f"kernels, but --frozen-dir {args.frozen_dir!r} holds no "
+            f"_reference_kernels.py"
+        )
     report = run_bench(frozen=frozen, **params)
 
     for proto, entry in report["kernels"].items():
         line = (
-            f"{proto:>5}: streamed {entry['streamed_ms_per_round']:8.2f} "
-            f"ms/round | batched {entry['batched_ms_per_round']:8.2f} "
-            f"ms/round | {entry['batch_speedup_vs_streamed']:.2f}x"
+            f"{proto:>5}: batched {entry['batched_ms_per_round']:8.2f} "
+            f"ms/round"
         )
         if "batch_speedup_vs_frozen" in entry:
-            line += f" ({entry['batch_speedup_vs_frozen']:.2f}x vs frozen)"
+            line += (
+                f" | frozen {entry['frozen_ms_per_round']:8.2f} ms/round"
+                f" | {entry['batch_speedup_vs_frozen']:.2f}x"
+            )
         print(line)
     rd = report["reader"]
     print(

@@ -116,7 +116,7 @@ def run_obs_report(suite: ExperimentSuite) -> list[dict[str, str]]:
     from repro.bits.rng import make_rng
     from repro.core.qcd import QCDDetector
     from repro.protocols.fsa import FramedSlottedAloha
-    from repro.sim.fast import fsa_fast
+    from repro.sim.batch import fsa_fast_batch
     from repro.sim.metrics import slot_counts
     from repro.sim.reader import Reader
 
@@ -125,13 +125,13 @@ def run_obs_report(suite: ExperimentSuite) -> list[dict[str, str]]:
     pop = TagPopulation(100, id_bits=64, rng=make_rng(suite.seed))
     reader = Reader(QCDDetector(8), suite.timing)
     result = reader.run_inventory(pop.tags, FramedSlottedAloha(64))
-    kernel = fsa_fast(
+    kernel = fsa_fast_batch(
         1000,
         600,
         QCDDetector(8),
         suite.timing,
-        np.random.Generator(np.random.PCG64(suite.seed)),
-    )
+        [np.random.Generator(np.random.PCG64(suite.seed))],
+    ).runs[0]
 
     exact_true = slot_counts(result.trace)
     exact_det = slot_counts(result.trace, detected=True)

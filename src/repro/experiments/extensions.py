@@ -36,7 +36,7 @@ from repro.protocols.estimators import (
 )
 from repro.protocols.fsa import FramedSlottedAloha
 from repro.sim.energy import inventory_energy
-from repro.sim.fast import dfsa_fast, fsa_fast
+from repro.sim.batch import dfsa_fast_batch, fsa_fast_batch
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 from repro.wireless.coverage import SensorField, run_field_discovery
@@ -63,6 +63,11 @@ def _check_rounds(rounds: int) -> None:
         raise ValueError("rounds must be >= 1")
 
 
+def _rngs(seed: int, rounds: int) -> list[np.random.Generator]:
+    """Round ``r`` draws from ``default_rng(seed + r)``."""
+    return [np.random.default_rng(seed + r) for r in range(rounds)]
+
+
 def ext_gen2(rounds: int = 10, seed: int = 2010) -> list[dict[str, str]]:
     """EI of QCD-8 over CRC-CD under paper vs Gen2 timing (case II)."""
     _check_rounds(rounds)
@@ -74,13 +79,10 @@ def ext_gen2(rounds: int = 10, seed: int = 2010) -> list[dict[str, str]]:
     ):
         times = {}
         for name, factory in _SCHEMES:
-            runs = [
-                fsa_fast(
-                    500, 300, factory(), timing, np.random.default_rng(seed + r)
-                ).total_time
-                for r in range(rounds)
-            ]
-            times[name] = statistics.mean(runs)
+            runs = fsa_fast_batch(
+                500, 300, factory(), timing, _rngs(seed, rounds)
+            ).runs
+            times[name] = statistics.mean(s.total_time for s in runs)
         rows.append(
             {
                 "timing model": label,
@@ -128,18 +130,10 @@ def ext_estimators(rounds: int = 5, seed: int = 2010) -> list[dict[str, str]]:
     )
     rows = []
     for est in estimators:
-        slots = [
-            dfsa_fast(
-                5000,
-                64,
-                est,
-                QCDDetector(8),
-                TimingModel(),
-                np.random.default_rng(seed + r),
-            ).true_counts.total
-            for r in range(rounds)
-        ]
-        mean_slots = statistics.mean(slots)
+        runs = dfsa_fast_batch(
+            5000, 64, est, QCDDetector(8), TimingModel(), _rngs(seed, rounds)
+        ).runs
+        mean_slots = statistics.mean(s.true_counts.total for s in runs)
         rows.append(
             {
                 "estimator": est.name,
@@ -251,9 +245,9 @@ def ext_missing(rounds: int = 3, seed: int = 2010) -> list[dict[str, str]]:
                 "airtime (µs)": f"{statistics.mean(airtimes):,.0f}",
             }
         )
-    inv = fsa_fast(
-        1000, 600, QCDDetector(8), TimingModel(), np.random.default_rng(seed)
-    )
+    inv = fsa_fast_batch(
+        1000, 600, QCDDetector(8), TimingModel(), [np.random.default_rng(seed)]
+    ).runs[0]
     rows.append(
         {
             "framing": "(full QCD-8 inventory)",

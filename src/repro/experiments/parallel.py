@@ -6,11 +6,7 @@ the *work list* -- not the RNG -- is the unit of distribution.  This
 module owns that execution layer:
 
 * :func:`run_rounds` -- the single execution funnel both paths share:
-  by default one round-batched kernel call per shard
-  (:mod:`repro.sim.batch`), or -- with ``batched=False`` on the job --
-  the historical loop of one streamed kernel call per seed child.  The
-  two are bit-identical (the batch engine replays the streamed per-round
-  RNG draw order), so flipping the flag never changes results;
+  one :mod:`repro.sim.batch` kernel call per shard;
 * :class:`SerialExecutor` -- runs the loop inline (the default; identical
   to the historical single-process behaviour);
 * :class:`ProcessExecutor` -- shards the children into contiguous chunks
@@ -47,7 +43,7 @@ from repro.experiments.config import ID_BITS, SimulationCase
 from repro.obs import instruments as _inst
 from repro.obs.registry import MetricsRegistry
 from repro.obs.state import STATE as _OBS
-from repro.sim.fast import bt_fast, fsa_fast
+from repro.sim.batch import bt_fast_batch, fsa_fast_batch
 from repro.sim.metrics import InventoryStats
 
 __all__ = [
@@ -77,9 +73,7 @@ class GridPointJob:
 
     ``children`` are the pre-spawned per-round ``SeedSequence`` children,
     in round order.  ``observe`` mirrors the parent's ``repro.obs``
-    enabled flag at submission time.  ``batched`` selects the
-    round-batched engine (the default; bit-identical to the streamed
-    loop, so cache keys do not include it).
+    enabled flag at submission time.
     """
 
     case: SimulationCase
@@ -88,7 +82,6 @@ class GridPointJob:
     children: tuple[np.random.SeedSequence, ...]
     timing: TimingModel
     observe: bool = False
-    batched: bool = True
 
 
 @dataclass
@@ -100,59 +93,32 @@ class ShardResult:
 
 
 def run_rounds(job: GridPointJob) -> list[InventoryStats]:
-    """Execute a job's rounds: one batched call, or a streamed loop.
+    """Execute a job's rounds as one batched kernel call.
 
     This is the only place rounds execute -- serial path, worker
     processes and tests all funnel through it, which is what makes the
-    parallel results bit-identical to the serial ones.  A shard is one
-    batched kernel call by default; ``batched=False`` replays the
-    historical per-round loop (same results, round for round).
+    parallel results bit-identical to the serial ones.
     """
     detector = make_detector(job.scheme, id_bits=job.timing.id_bits)
-    obs_on = _OBS.enabled
-    if job.batched:
-        from repro.sim.batch import bt_fast_batch, fsa_fast_batch
-
-        if job.protocol == "fsa":
-            result = fsa_fast_batch(
-                job.case.n_tags,
-                job.case.frame_size,
-                detector,
-                job.timing,
-                job.children,
-            )
-        elif job.protocol == "bt":
-            result = bt_fast_batch(
-                job.case.n_tags, detector, job.timing, job.children
-            )
-        else:
-            raise ValueError(f"unknown protocol {job.protocol!r}")
-        runs = list(result.runs)
-        if obs_on and runs:
-            _OBS.registry.counter(
-                _inst.MC_ROUNDS, "Monte-Carlo rounds completed"
-            ).inc(len(runs))
-        return runs
-    runs = []
-    for child in job.children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        if job.protocol == "fsa":
-            stats = fsa_fast(
-                job.case.n_tags,
-                job.case.frame_size,
-                detector,
-                job.timing,
-                rng,
-            )
-        elif job.protocol == "bt":
-            stats = bt_fast(job.case.n_tags, detector, job.timing, rng)
-        else:
-            raise ValueError(f"unknown protocol {job.protocol!r}")
-        runs.append(stats)
-        if obs_on:
-            _OBS.registry.counter(
-                _inst.MC_ROUNDS, "Monte-Carlo rounds completed"
-            ).inc()
+    if job.protocol == "fsa":
+        result = fsa_fast_batch(
+            job.case.n_tags,
+            job.case.frame_size,
+            detector,
+            job.timing,
+            job.children,
+        )
+    elif job.protocol == "bt":
+        result = bt_fast_batch(
+            job.case.n_tags, detector, job.timing, job.children
+        )
+    else:
+        raise ValueError(f"unknown protocol {job.protocol!r}")
+    runs = list(result.runs)
+    if _OBS.enabled and runs:
+        _OBS.registry.counter(
+            _inst.MC_ROUNDS, "Monte-Carlo rounds completed"
+        ).inc(len(runs))
     return runs
 
 

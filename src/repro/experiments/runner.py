@@ -3,7 +3,7 @@
 The paper's tables and figures all derive from the same grid of runs:
 {case I..IV} × {FSA, BT} × {CRC-CD, QCD-4, QCD-8, QCD-16}, averaged over
 ``rounds`` repetitions.  :class:`ExperimentSuite` runs each grid point at
-most once (via the vectorized kernels of :mod:`repro.sim.fast`, which are
+most once (via the vectorized kernels of :mod:`repro.sim.batch`, which are
 validated against the exact reader) and serves every generator from the
 cache.
 
@@ -130,11 +130,6 @@ class ExperimentSuite:
     executor:
         Pluggable round executor (anything with ``run(job)`` / ``close()``
         / ``workers``); overrides ``workers`` when given.
-    batched:
-        Run each grid point (or shard) as one round-batched kernel call
-        (:mod:`repro.sim.batch`; the default) instead of a per-round
-        loop.  Results are bit-identical either way, so the flag is not
-        part of the cache key.
 
     Suites hold a worker pool when ``workers > 1``; call :meth:`close`
     when done, or use the suite as a context manager.
@@ -150,13 +145,11 @@ class ExperimentSuite:
         workers: int = 1,
         cache_dir: str | Path | None = None,
         executor=None,
-        batched: bool = True,
     ) -> None:
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         self.rounds = rounds
         self.seed = seed
-        self.batched = batched
         self.timing = TimingModel(tau=tau, id_bits=id_bits, crc_bits=crc_bits)
         self._executor = executor if executor is not None else make_executor(workers)
         self.workers = self._executor.workers
@@ -285,7 +278,6 @@ class ExperimentSuite:
             children=tuple(seq.spawn(self.rounds)),
             timing=self.timing,
             observe=obs_on,
-            batched=self.batched,
         )
         runs: list[InventoryStats] = []
         try:

@@ -9,7 +9,7 @@ Usage::
 
     from repro.obs.profiling import profile, profiled
 
-    with profile("fast.fsa_fast"):
+    with profile("batch.fsa_fast_batch"):
         ...hot path...
 
     @profiled("analysis.heavy")

@@ -10,11 +10,10 @@
 * :mod:`repro.sim.energy` -- tag/reader energy accounting;
 * :mod:`repro.sim.deployment` / :mod:`repro.sim.scheduling` /
   :mod:`repro.sim.multireader` -- the spatial scenario of Table V;
-* :mod:`repro.sim.fast` -- vectorized kernels for the 50 000-tag cases,
-  cross-validated against the exact reader;
-* :mod:`repro.sim.batch` -- round-batched kernel engines: all R Monte-Carlo
-  rounds of a grid point in one numpy program, bit-identical to looping
-  the :mod:`repro.sim.fast` kernels (see ``docs/PERFORMANCE.md``);
+* :mod:`repro.sim.batch` -- vectorized Monte-Carlo kernels for the
+  50 000-tag cases: all R rounds of a grid point in one numpy program (a
+  single inventory is a batch of one stream), cross-validated against the
+  exact reader (see ``docs/PERFORMANCE.md``);
 * :mod:`repro.sim.export` -- CSV/JSON trace and stats export.
 """
 
@@ -37,7 +36,6 @@ from repro.sim.batch import (
     fsa_fast_batch,
     stats_equal,
 )
-from repro.sim.fast import bt_fast, dfsa_fast, fsa_fast
 from repro.sim.metrics import (
     DelayStats,
     InventoryStats,
@@ -70,9 +68,6 @@ __all__ = [
     "color_schedule",
     "MultiReaderResult",
     "run_multireader_inventory",
-    "fsa_fast",
-    "bt_fast",
-    "dfsa_fast",
     "BatchResult",
     "fsa_fast_batch",
     "bt_fast_batch",

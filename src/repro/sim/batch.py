@@ -1,36 +1,46 @@
-"""Round-batched Monte-Carlo kernels.
+"""Monte-Carlo inventory kernels, all rounds of a grid point per call.
 
-One evaluation grid point is ``rounds`` independent inventories, each
-seeded by its own pre-spawned ``SeedSequence`` child.  The streamed path
-(:func:`repro.experiments.parallel.run_rounds` with ``batched=False``)
-executes them as a Python loop of :mod:`repro.sim.fast` kernel calls; this
-module executes the *whole batch as one numpy program* while consuming the
-per-round substreams in exactly the streamed order, so every per-round
-:class:`~repro.sim.metrics.InventoryStats` -- and therefore every cached
-:class:`~repro.experiments.runner.AggregateStats` -- is unchanged:
+The exact object-level reader (:mod:`repro.sim.reader`) composes real bit
+signals per slot -- ideal for correctness, too slow for the paper's case IV
+(50 000 tags, ~250 000 slots, 100 Monte-Carlo rounds).  This module
+re-implements the protocol × detector processes the evaluation sweeps as
+numpy kernels.  One grid point is ``rounds`` independent inventories, each
+drawing from its own ``SeedSequence`` child (or ready generator); a single
+inventory is a batch of one stream, and because every round owns its
+generator the per-round stats do not depend on how the streams are
+grouped into calls:
 
 * :func:`fsa_fast_batch` / :func:`dfsa_fast_batch` -- frame-synchronous
   frontier over the live rounds.  Each frame step draws every live round's
   slot choices, evaluates the detector's miss probabilities *once* for all
   collisions of the step, and advances each round with sparse per-frame
-  expressions: instead of materializing the dense ``frame_size`` slot
-  array the streamed kernel bincounts, only the occupied slots (at most
-  ``min(backlog, frame_size)`` of them) are touched, and frame airtime /
-  identification delays come from occupancy-class counts and prefix sums.
-* :func:`bt_fast_batch` -- replays the level-synchronous walk of
-  :func:`repro.sim.fast.bt_fast` (two vectorized RNG calls per tree
-  level), round by round to bound memory, with the vectorized
-  :meth:`~repro.sim.metrics.DelayStats.from_array` statistics.
+  expressions: only the occupied slots (at most ``min(backlog,
+  frame_size)`` of them) are touched, and frame airtime / identification
+  delays come from occupancy-class counts and prefix sums.
+* :func:`bt_fast_batch` -- binary-tree splitting as a *level-synchronous*
+  frontier walk (:func:`_bt_walk`): every tree level draws one ``random``
+  vector (misdetection uniforms) and one raw 64-bit block whose popcounts
+  are the Binomial(m, 1/2) splits, for all collided groups of the level;
+  the depth-first slot order the exact reader executes is then
+  reconstructed from subtree sizes (:func:`_bt_finalize`).  Rounds are
+  walked one at a time to bound memory.
 
-Bit-identity to the streamed path holds whenever every slot duration is an
-integer multiple of the float granule (the paper's timing: ``tau = 1`` and
-integer bit counts), because then every partial sum the two formulations
-compute is exact in float64; with exotic non-integer timing the results
-agree to normal float rounding instead.  ``tests/sim/test_batch.py`` and
-the ``batch-vs-streamed`` verify oracle assert the field-by-field identity
-on the default timing for every protocol × detector in the grid.
+The kernels simulate the *identical* stochastic process as the exact
+reader (slot choices / split draws are the only randomness; detector
+misses are drawn from their exact probabilities) and return the same
+:class:`~repro.sim.metrics.InventoryStats`; ``tests/sim/test_fast.py`` and
+the kernel-vs-reader verify oracles cross-validate them distributionally.
+The FSA/DFSA kernels consume each stream exactly like the pre-batching
+per-round kernels frozen in ``benchmarks/_reference_kernels.py``, and
+``tests/sim/test_batch.py`` asserts field-by-field identity against them.
+That identity holds whenever every slot duration is an integer multiple
+of the float granule (the paper's timing: ``tau = 1`` and integer bit
+counts), because then every partial sum is exact in float64; with exotic
+non-integer timing the results agree to normal float rounding instead.
 
-Misdetection policy is ``"paper"`` only, like :mod:`repro.sim.fast`.
+Kernels implement the ``"paper"`` misdetection policy only (misses are
+counted and charged single-slot airtime; the process follows ground
+truth).
 """
 
 from __future__ import annotations
@@ -41,17 +51,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.detector import CollisionDetector
+from repro.core.crc_cd import CRCCDDetector
+from repro.core.detector import CollisionDetector, SlotType
+from repro.core.ideal import IdealDetector
+from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.obs.instruments import record_kernel_stats
 from repro.obs.profiling import profiled
 from repro.obs.state import STATE as _OBS
-from repro.sim.fast import (
-    _bt_finalize,
-    _bt_walk,
-    _duration_lut,
-    _miss_eval,
-)
 from repro.sim.metrics import DelayStats, InventoryStats, SlotCounts
 
 __all__ = [
@@ -63,6 +70,69 @@ __all__ = [
 ]
 
 
+def _duration_lut(
+    detector: CollisionDetector, timing: TimingModel
+) -> np.ndarray:
+    """Slot durations indexed by outcome code.
+
+    Codes 0/1/2 are the :class:`~repro.core.detector.SlotType` values
+    (idle / single / collided); code 3 is a *missed* collision, which runs
+    the ID phase and is charged single-slot airtime.
+    """
+    dur_idle, dur_single, dur_coll = (
+        timing.slot_duration(detector, kind)
+        for kind in (SlotType.IDLE, SlotType.SINGLE, SlotType.COLLIDED)
+    )
+    return np.array(
+        [dur_idle, dur_single, dur_coll, dur_single], dtype=np.float64
+    )
+
+
+def _miss_prob_fn(detector: CollisionDetector):
+    """Vectorized P(collision of size m read as single), hoisted.
+
+    Resolves the detector's type once per call and returns a closure over
+    plain floats, so the per-frame hot loop runs no ``isinstance`` chain
+    and no attribute lookups.
+    """
+    if isinstance(detector, QCDDetector):
+        base = float((1 << detector.strength) - 1)
+        return lambda m: base ** (-(m.astype(np.float64) - 1.0))
+    if isinstance(detector, CRCCDDetector):
+        const = 2.0 ** (-detector.crc_bits)
+        return lambda m: np.full(m.shape, const)
+    if isinstance(detector, IdealDetector):
+        return lambda m: np.zeros(m.shape)
+    return lambda m: np.array([detector.miss_probability(int(x)) for x in m])
+
+
+def _miss_lut(detector: CollisionDetector, n_max: int) -> np.ndarray | None:
+    """Miss probabilities tabulated by collision size, or None.
+
+    For the closed-form detectors the table is built with the *same*
+    vectorized expression :func:`_miss_prob_fn` evaluates, so
+    ``lut[m] == miss_fn(m)`` bit for bit and a table gather can replace
+    the per-frame ``power`` evaluation.  Unknown detector classes return
+    None -- tabulating them would call a Python ``miss_probability`` once
+    per possible size.
+    """
+    if isinstance(detector, (QCDDetector, CRCCDDetector, IdealDetector)):
+        return _miss_prob_fn(detector)(np.arange(n_max + 1, dtype=np.int64))
+    return None
+
+
+def _miss_eval(detector: CollisionDetector, n_max: int):
+    """Miss-probability evaluator for collision sizes in ``[0, n_max]``.
+
+    A table gather when the detector tabulates (:func:`_miss_lut`),
+    otherwise the vectorized closure -- bit-identical either way.
+    """
+    lut = _miss_lut(detector, n_max)
+    if lut is not None:
+        return lambda m: lut[m]
+    return _miss_prob_fn(detector)
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """All rounds of one batched grid point, in round order."""
@@ -70,7 +140,7 @@ class BatchResult:
     runs: tuple[InventoryStats, ...]
 
     def aggregate(self):
-        """Round-averaged stats, identical to the streamed aggregation."""
+        """Round-averaged stats (``AggregateStats.from_runs``)."""
         # Imported lazily: experiments.parallel imports this module.
         from repro.experiments.runner import AggregateStats
 
@@ -78,9 +148,9 @@ class BatchResult:
 
 
 def _generators(streams: Sequence) -> list[np.random.Generator]:
-    """One PCG64 generator per round, exactly as ``run_rounds`` builds
-    them from the spawned children (already-built generators pass
-    through, e.g. for golden pins against the streamed kernels)."""
+    """One PCG64 generator per round, built from the spawned children
+    (already-built generators pass through, so a caller holding one
+    generator runs a single inventory as ``[rng]``)."""
     return [
         s
         if isinstance(s, np.random.Generator)
@@ -111,7 +181,7 @@ def _frame_occupancy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Occupied slot indices and their multiplicities, in slot order.
 
-    Consumes exactly the streamed kernel's draw
+    Consumes exactly one frame's slot choices
     (``rng.integers(0, frame_size, backlog)``).  Dense frames extract the
     occupancy from a bincount; sparse ones (backlog far below the frame
     size) sort the draws instead, avoiding the O(frame_size) scan.
@@ -177,14 +247,19 @@ def _aloha_batch(
     min_frame_size: int = 1,
     max_frame_size: int = 1 << 15,
     max_frames: int = 100_000,
-    engine: str = "fast_fsa",
 ) -> tuple[InventoryStats, ...]:
     """The shared FSA/DFSA frame-synchronous batch engine.
 
     ``estimator is None`` runs fixed-frame FSA (with the optional
     confirmation frame); otherwise each round resizes its next frame from
-    its own observation, like ``dfsa_fast``.
+    its own observation, like :class:`~repro.protocols.dfsa.DynamicFSA`.
+    A round still unfinished after ``max_frames`` frames raises
+    ``RuntimeError`` (a one-slot FSA frame never resolves two tags).
     """
+    if estimator is None:
+        kernel, engine = "fsa_fast_batch", "fast_fsa"
+    else:
+        kernel, engine = "dfsa_fast_batch", "fast_dfsa"
     lut = _duration_lut(detector, timing)
     d0, d1, dc = float(lut[0]), float(lut[1]), float(lut[2])
     miss_fn = _miss_eval(detector, n_tags)
@@ -202,7 +277,7 @@ def _aloha_batch(
             st.n0 += st.frame_size
             st.t += st.frame_size * d0
         if st.fdata:
-            # One flat pass over every recorded frame.  The streamed
+            # One flat pass over every recorded frame.  The dense
             # per-frame formula is: end of occupied slot j (slot index
             # s_j) = t_start + cumsum(dur_occ)[j] + (s_j - j) * d0.  With
             # G the cumsum over the *concatenation* of the frames'
@@ -210,10 +285,10 @@ def _aloha_batch(
             # G[g] - G[start_f - 1], and j = g - start_f, so
             #   ends[g] = (t_start_f - baseG_f + start_f * d0)
             #             + G[g] + (slots[g] - g) * d0
-            # -- exact, and therefore bit-identical to the streamed
-            # value, because integer-valued durations make every term an
-            # exact float64 integer (slots[g] - g may go negative across
-            # frame boundaries; the products stay exact).
+            # -- exact, and therefore bit-identical to the dense
+            # per-frame value, because integer-valued durations make
+            # every term an exact float64 integer (slots[g] - g may go
+            # negative across frame boundaries; the products stay exact).
             n_f = len(st.fdata)
             slots_all = np.concatenate([f[1] for f in st.fdata])
             coll_all = np.concatenate([f[2] for f in st.fdata])
@@ -273,16 +348,16 @@ def _aloha_batch(
             finalize(idx, st)
     while live:
         # Phase 1: every live round draws its frame and extracts the
-        # occupied slots; misdetection uniforms are drawn per round (the
-        # streamed call order) but compared in one flat detector pass.
+        # occupied slots; misdetection uniforms are drawn per round (each
+        # round's own draw order) but compared in one flat detector pass.
         step: list[tuple] = []
         m_parts: list[np.ndarray] = []
         u_parts: list[np.ndarray] = []
         for idx in live:
             st = rounds[idx]
-            if estimator is not None and st.frames >= max_frames:
+            if st.frames >= max_frames:
                 raise RuntimeError(
-                    f"dfsa_fast_batch exceeded max_frames={max_frames}"
+                    f"{kernel} exceeded max_frames={max_frames}"
                 )
             st.frames += 1
             slots, counts = _frame_occupancy(
@@ -353,10 +428,15 @@ def fsa_fast_batch(
 ) -> BatchResult:
     """All rounds of a fixed-frame FSA grid point as one batched program.
 
+    Matches :class:`repro.protocols.fsa.FramedSlottedAloha` under the exact
+    reader with the default ``"confirm"`` termination: constant frame size,
+    collided tags re-contend next frame, every frame runs to completion,
+    and the inventory ends with one all-idle confirmation frame (the reader
+    cannot observe an empty backlog -- the paper's Table VII accounting).
+    Pass ``confirm_frame=False`` for the known-n ``"frame"`` termination.
+
     ``streams`` is the round-ordered sequence of ``SeedSequence`` children
-    (or ready generators); round *i* consumes its stream exactly like
-    ``fsa_fast`` does, so the per-round stats match the streamed loop
-    field for field.
+    (or ready generators); ``runs[i]`` depends on ``streams[i]`` alone.
     """
     if n_tags < 0 or frame_size < 1:
         raise ValueError("need n_tags >= 0 and frame_size >= 1")
@@ -369,7 +449,6 @@ def fsa_fast_batch(
             _generators(streams),
             collect_delays,
             confirm_frame,
-            engine="fast_fsa",
         )
     )
 
@@ -389,10 +468,15 @@ def dfsa_fast_batch(
 ) -> BatchResult:
     """All rounds of a dynamic-FSA grid point as one batched program.
 
+    Matches :class:`repro.protocols.dfsa.DynamicFSA` under the exact
+    reader: after each (complete) frame, the pluggable estimator sizes the
+    next frame from the observed (N0, N1, Nc); the inventory ends with the
+    frame in which the backlog empties.
+
     The estimator instance is shared across rounds, which is safe for the
     built-in estimators (pure functions of one ``FrameObservation``); a
-    *stateful* estimator would leak state between interleaved rounds and
-    must use the streamed ``dfsa_fast`` loop instead.
+    *stateful* estimator would leak state between interleaved rounds, so
+    run it one stream per call.
     """
     if n_tags < 0 or initial_frame_size < 1:
         raise ValueError("need n_tags >= 0 and initial_frame_size >= 1")
@@ -411,9 +495,144 @@ def dfsa_fast_batch(
             min_frame_size=min_frame_size,
             max_frame_size=max_frame_size,
             max_frames=max_frames,
-            engine="fast_dfsa",
         )
     )
+
+
+_U64_MAX = np.iinfo(np.uint64).max
+_U64_ONES = ~np.uint64(0)
+
+
+def _split_lefts(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Binomial(m, 1/2) split sizes for one tree level, via popcount.
+
+    Each tag flips a fair coin, so the left-subset size of a group of m
+    tags is the popcount of m random bits.  Groups draw whole 64-bit words
+    (``ceil(m/64)`` each, one ``integers`` call per level) and the unused
+    high bits of each group's last word are masked off -- an order of
+    magnitude cheaper than ``Generator.binomial``, whose per-element
+    rejection loop dominated the walk at case-IV populations.
+    """
+    if np.max(m) <= 64:
+        # Common case away from the root: one word per group.
+        raw = rng.integers(0, _U64_MAX, m.size, dtype=np.uint64, endpoint=True)
+        masks = _U64_ONES >> (64 - m).astype(np.uint64)
+        return np.bitwise_count(raw & masks).astype(np.int64)
+    words_per = (m + 63) >> 6
+    ends = np.cumsum(words_per)
+    raw = rng.integers(
+        0, _U64_MAX, int(ends[-1]), dtype=np.uint64, endpoint=True
+    )
+    popc = np.bitwise_count(raw).astype(np.int64)
+    # Mask the partial last word of every group before counting its bits.
+    tail_bits = ((m - 1) & 63) + 1
+    last = ends - 1
+    tail = raw[last] & (_U64_ONES >> (64 - tail_bits).astype(np.uint64))
+    popc[last] = np.bitwise_count(tail)
+    starts = ends - words_per
+    return np.add.reduceat(popc, starts)
+
+
+def _bt_walk(n_tags: int, rng: np.random.Generator) -> list[tuple]:
+    """Level-synchronous draws for one binary-tree inventory.
+
+    Returns one ``(sizes, coll, u, lefts, m)`` tuple per tree level, in
+    level order; within a level nodes are ordered by their parents' order,
+    left child first, and ``m = sizes[coll]`` are the collided group
+    sizes.  Each level makes exactly two RNG calls -- ``random(k)``
+    (misdetection uniforms) then one raw 64-bit ``integers`` block whose
+    popcounts are the Binomial(m, 1/2) splits (:func:`_split_lefts`).
+    """
+    levels: list[tuple] = []
+    frontier = (
+        np.array([n_tags], dtype=np.int64)
+        if n_tags
+        else np.empty(0, dtype=np.int64)
+    )
+    while frontier.size:
+        coll = frontier >= 2
+        m = frontier[coll]
+        if m.size == 0:
+            levels.append((frontier, coll, np.empty(0), None, m))
+            break
+        u = rng.random(m.size)
+        lefts = _split_lefts(m, rng)
+        levels.append((frontier, coll, u, lefts, m))
+        children = np.empty(2 * m.size, dtype=np.int64)
+        children[0::2] = lefts
+        children[1::2] = m - lefts
+        frontier = children
+    return levels
+
+
+def _bt_finalize(
+    levels: list[tuple],
+    miss_fn,
+    lut: np.ndarray,
+    collect_delays: bool,
+) -> tuple[int, int, int, int, float, np.ndarray]:
+    """Classify, time and order the slots of one level-synchronous walk.
+
+    The exact reader visits the tree depth-first (drew-0 subset first);
+    the walk produced nodes level by level.  Pre-order slot positions are
+    reconstructed in two passes: subtree slot counts bottom-up, then each
+    collided node at position p places its left child at p+1 and its right
+    child at p+1+|left subtree|.  Durations scattered into that order and
+    cumulative-summed reproduce the reader's running clock bit for bit.
+
+    Returns ``(n0, n1, nc, missed, total_time, delays)`` with ``delays``
+    in slot order (ascending identification time).
+    """
+    if not levels:
+        return 0, 0, 0, 0, 0.0, np.empty(0, dtype=np.float64)
+    n_levels = len(levels)
+    sizes_flat = np.concatenate([lv[0] for lv in levels])
+    total = sizes_flat.size
+    u_flat = np.concatenate([lv[2] for lv in levels])
+    mvals = np.concatenate([lv[4] for lv in levels])
+    miss = u_flat < miss_fn(mvals)
+    nc = mvals.size
+    n0 = int((sizes_flat == 0).sum())
+    n1 = total - n0 - nc
+    n_miss = int(miss.sum())
+    if not collect_delays:
+        # Slot order affects neither the counts nor the (integer-valued)
+        # total airtime, so skip the position reconstruction entirely.
+        t = n0 * lut[0] + (n1 + n_miss) * lut[1] + (nc - n_miss) * lut[2]
+        return n0, n1, nc, n_miss, float(t), np.empty(0, dtype=np.float64)
+    # Subtree slot counts, bottom-up (leaves occupy one slot).
+    subtree: list[np.ndarray] = [None] * n_levels  # type: ignore[list-item]
+    for d in range(n_levels - 1, -1, -1):
+        sizes, coll = levels[d][0], levels[d][1]
+        s = np.ones(sizes.size, dtype=np.int64)
+        if d + 1 < n_levels:
+            s[coll] = 1 + subtree[d + 1].reshape(-1, 2).sum(axis=1)
+        subtree[d] = s
+    # Pre-order positions, top-down.
+    pos: list[np.ndarray] = [None] * n_levels  # type: ignore[list-item]
+    pos[0] = np.zeros(1, dtype=np.int64)
+    for d in range(n_levels - 1):
+        coll = levels[d][1]
+        base = pos[d][coll] + 1
+        child_s = subtree[d + 1]
+        nxt = np.empty(2 * base.size, dtype=np.int64)
+        nxt[0::2] = base
+        nxt[1::2] = base + child_s[0::2]
+        pos[d + 1] = nxt
+    pos_flat = np.concatenate(pos)
+    codes = np.minimum(sizes_flat, 2)
+    if n_miss:
+        # 2 -> 3 marks a missed collision (single-slot airtime).
+        codes[np.flatnonzero(sizes_flat >= 2)[miss]] = 3
+    # Scatter the codes into slot order: the durations become one gather
+    # and the single-slot positions come out pre-sorted via flatnonzero
+    # instead of an O(n log n) sort.
+    code_seq = np.empty(total, dtype=np.int64)
+    code_seq[pos_flat] = codes
+    dur_seq = lut[code_seq]
+    end = np.cumsum(dur_seq)
+    delays = end[np.flatnonzero(code_seq == 1)]
+    return n0, n1, nc, n_miss, float(end[-1]), delays
 
 
 @profiled("batch.bt_fast_batch")
@@ -426,10 +645,14 @@ def bt_fast_batch(
 ) -> BatchResult:
     """All rounds of a binary-tree grid point, batched.
 
-    Each round runs the level-synchronous frontier walk of
-    :func:`repro.sim.fast.bt_fast` (identical draw order) with the
-    detector dispatch and duration LUT hoisted across the whole batch and
-    the vectorized delay statistics; rounds are walked one at a time to
+    Matches :class:`repro.protocols.bt.BinaryTree` under the exact reader:
+    the counter automaton is exactly a depth-first traversal where each
+    collided group of size m splits into (Binomial(m, 1/2), rest), the
+    drew-0 subset going first.  Each round runs the level-synchronous
+    walk (:func:`_bt_walk`, two vectorized RNG calls per tree level) and
+    reconstructs the depth-first slot order afterwards
+    (:func:`_bt_finalize`).  The detector dispatch and duration LUT are
+    hoisted across the whole batch; rounds are walked one at a time to
     keep peak memory at one tree (~2.885·n slots) instead of R trees.
     """
     if n_tags < 0:

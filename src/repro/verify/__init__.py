@@ -2,7 +2,7 @@
 
 The reproduction simulates the same stochastic process three times over
 -- the exact bit-level :class:`~repro.sim.reader.Reader`, the vectorized
-kernels of :mod:`repro.sim.fast` and the closed-form theory in
+kernels of :mod:`repro.sim.batch` and the closed-form theory in
 :mod:`repro.analysis` -- and this package is the standing proof that they
 agree:
 

@@ -12,13 +12,11 @@ The registered pairs:
 =========================  =============  =====================================
 name                       kind           compares
 =========================  =============  =====================================
-fsa-kernel-vs-reader       kernel-reader  ``fsa_fast`` vs exact ``Reader`` (QCD
-                                          counts/time/delay, CRC time, low-l
-                                          accuracy, KS on airtime)
-bt-kernel-vs-reader        kernel-reader  ``bt_fast`` vs exact ``Reader``
-batch-vs-streamed          kernel-kernel  round-batched kernels bit-identical
-                                          to the streamed per-round loop, for
-                                          any shard split of the round streams
+fsa-kernel-vs-reader       kernel-reader  ``fsa_fast_batch`` vs exact
+                                          ``Reader`` (QCD counts/time/delay,
+                                          CRC time, low-l accuracy, KS on
+                                          airtime)
+bt-kernel-vs-reader        kernel-reader  ``bt_fast_batch`` vs exact ``Reader``
 batch-reader               reader-reader  frame-batched exact Reader trace-
                                           identical to the object and per-slot
                                           packed paths (records, IDs, counters)
@@ -61,20 +59,13 @@ from repro.core.ideal import IdealDetector
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.experiments.config import SimulationCase
-from repro.experiments.parallel import GridPointJob, make_detector
+from repro.experiments.parallel import GridPointJob
 from repro.experiments.runner import _stable_hash
 from repro.protocols.bt import BinaryTree
 from repro.protocols.dfsa import DynamicFSA
-from repro.protocols.estimators import SchouteEstimator, expected_slot_counts
+from repro.protocols.estimators import expected_slot_counts
 from repro.protocols.fsa import FramedSlottedAloha
 from repro.protocols.qt import QueryTree
-from repro.sim.batch import (
-    bt_fast_batch,
-    dfsa_fast_batch,
-    fsa_fast_batch,
-    stats_equal,
-)
-from repro.sim.fast import bt_fast, dfsa_fast, fsa_fast
 from repro.sim.metrics import InventoryStats
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
@@ -173,7 +164,7 @@ class Oracle:
     """A registered oracle pair."""
 
     name: str
-    kind: str  # "kernel-reader" | "kernel-kernel" | "sim-theory" | "invariant"
+    kind: str  # "kernel-reader" | "reader-reader" | "sim-theory" | "invariant"
     description: str
     fn: Callable[[OracleContext], Sequence[Check]] = field(compare=False)
 
@@ -255,7 +246,7 @@ def _mean(stats: Sequence[InventoryStats], f) -> float:
 @oracle(
     "fsa-kernel-vs-reader",
     "kernel-reader",
-    "fsa_fast vs exact Reader: slot counts, airtime, delay, accuracy",
+    "fsa_fast_batch vs exact Reader: slot counts, airtime, delay, accuracy",
 )
 def _fsa_kernel_vs_reader(ctx: OracleContext) -> list[Check]:
     n, frame = 120, 64
@@ -335,7 +326,7 @@ def _fsa_kernel_vs_reader(ctx: OracleContext) -> list[Check]:
 @oracle(
     "bt-kernel-vs-reader",
     "kernel-reader",
-    "bt_fast vs exact Reader: slot counts, airtime, exact single count",
+    "bt_fast_batch vs exact Reader: slot counts, airtime, exact single count",
 )
 def _bt_kernel_vs_reader(ctx: OracleContext) -> list[Check]:
     n = 120
@@ -378,78 +369,6 @@ def _bt_kernel_vs_reader(ctx: OracleContext) -> list[Check]:
             [s.total_time for s in exact],
         )
     )
-    return checks
-
-
-# ----------------------------------------------------------------------
-# kernel <-> kernel
-
-
-@oracle(
-    "batch-vs-streamed",
-    "kernel-kernel",
-    "round-batched kernels bit-identical to the streamed per-round loop",
-)
-def _batch_vs_streamed(ctx: OracleContext) -> list[Check]:
-    """Bit-equality needs no statistics, so a handful of rounds suffices;
-    every field of every round's :class:`InventoryStats` must match, and
-    the batched runs must be invariant under any shard split of the
-    round streams (the PR-2 executors split them arbitrarily)."""
-    rounds = max(5, min(ctx.rounds, 12))
-    n, frame = 120, 64
-
-    def children(salt: str):
-        return np.random.SeedSequence(
-            [ctx.seed, _stable_hash("batch-vs-streamed"), _stable_hash(salt)]
-        ).spawn(rounds)
-
-    def gen(child):
-        return np.random.Generator(np.random.PCG64(child))
-
-    checks = []
-    for label, scheme, proto in (
-        ("fsa_qcd8", "qcd-8", "fsa"),
-        ("fsa_crc", "crc", "fsa"),
-        ("bt_qcd8", "qcd-8", "bt"),
-        ("dfsa_qcd8", "qcd-8", "dfsa"),
-    ):
-        kids = children(label)
-        det = make_detector(scheme, ctx.timing.id_bits)
-        if proto == "fsa":
-            batch = fsa_fast_batch(n, frame, det, ctx.timing, kids)
-            streamed = [
-                fsa_fast(n, frame, det, ctx.timing, gen(c)) for c in kids
-            ]
-        elif proto == "bt":
-            batch = bt_fast_batch(n, det, ctx.timing, kids)
-            streamed = [bt_fast(n, det, ctx.timing, gen(c)) for c in kids]
-        else:
-            batch = dfsa_fast_batch(
-                n, 16, SchouteEstimator(), det, ctx.timing, kids
-            )
-            streamed = [
-                dfsa_fast(
-                    n, 16, SchouteEstimator(), det, ctx.timing, gen(c)
-                )
-                for c in kids
-            ]
-        equal = sum(
-            stats_equal(a, b) for a, b in zip(batch.runs, streamed)
-        )
-        checks.append(check_exact(f"identical_rounds_{label}", equal, rounds))
-
-    # Shard-split invariance: concatenating per-shard batches reproduces
-    # the single whole-batch call, because each round owns its stream.
-    kids = children("shards")
-    det = make_detector("qcd-8", ctx.timing.id_bits)
-    whole = fsa_fast_batch(n, frame, det, ctx.timing, kids).runs
-    parts: list[InventoryStats] = []
-    for lo, hi in ((0, 1), (1, 4), (4, rounds)):
-        parts.extend(
-            fsa_fast_batch(n, frame, det, ctx.timing, kids[lo:hi]).runs
-        )
-    equal = sum(stats_equal(a, b) for a, b in zip(whole, parts))
-    checks.append(check_exact("shard_split_invariance", equal, rounds))
     return checks
 
 
@@ -561,7 +480,7 @@ def _fsa_frame_vs_theory(ctx: OracleContext) -> list[Check]:
 @oracle(
     "bt-slots-vs-theory",
     "sim-theory",
-    "bt_fast slot totals vs the Lemma 2 exact recursion",
+    "bt_fast_batch slot totals vs the Lemma 2 exact recursion",
 )
 def _bt_slots_vs_theory(ctx: OracleContext) -> list[Check]:
     n = 96
@@ -647,7 +566,8 @@ def _bt_ei_vs_theory(ctx: OracleContext) -> list[Check]:
 @oracle(
     "qcd-accuracy-vs-theory",
     "sim-theory",
-    "fsa_fast low-strength accuracy vs the Section IV-B occupancy model",
+    "fsa_fast_batch low-strength accuracy vs the Section IV-B occupancy "
+    "model",
 )
 def _qcd_accuracy_vs_theory(ctx: OracleContext) -> list[Check]:
     n, frame = 200, 128

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.detector import CollisionDetector, SlotType
 from repro.core.timing import TimingModel
-from repro.sim.fast import _miss_prob_scalar
 
 __all__ = ["SensorField", "CoverageResult", "run_field_discovery"]
 
@@ -159,7 +158,6 @@ def run_field_discovery(
         tx_prob = 1.0 / (1.0 + float(degrees.mean()))
     if not 0.0 < tx_prob < 1.0:
         raise ValueError("tx_prob must be in (0, 1)")
-    miss_prob = _miss_prob_scalar(detector)
     dur = {
         kind: timing.slot_duration(detector, kind)
         for kind in (SlotType.IDLE, SlotType.SINGLE, SlotType.COLLIDED)
@@ -195,7 +193,7 @@ def run_field_discovery(
             # Each listener independently classifies its local collision;
             # a miss means it demodulates garbage at single-slot cost.
             for i in np.nonzero(multi_l)[0]:
-                if rng.random() < miss_prob(int(counts[i])):
+                if rng.random() < detector.miss_probability(int(counts[i])):
                     garbage += 1
                     listen_time += dur[SlotType.SINGLE] - dur[SlotType.COLLIDED]
             listen_time += float(multi_l.sum()) * dur[SlotType.COLLIDED]

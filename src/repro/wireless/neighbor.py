@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.core.detector import CollisionDetector, SlotType
 from repro.core.timing import TimingModel
-from repro.sim.fast import _miss_prob_scalar
 
 __all__ = [
     "DiscoveryResult",
@@ -131,7 +130,6 @@ def run_discovery(
     p = tx_prob if tx_prob is not None else optimal_tx_probability(n)
     if not 0.0 < p < 1.0:
         raise ValueError("tx_prob must be in (0, 1)")
-    miss_prob = _miss_prob_scalar(detector)
     dur = {
         kind: timing.slot_duration(detector, kind)
         for kind in (SlotType.IDLE, SlotType.SINGLE, SlotType.COLLIDED)
@@ -168,7 +166,7 @@ def run_discovery(
                 remaining_nodes -= int(done_now.size)
         else:
             collided += 1
-            if rng.random() < miss_prob(m):
+            if rng.random() < detector.miss_probability(m):
                 # Listeners misread the slot as single and demodulate the
                 # garbled announcement in full.
                 garbage += listeners

@@ -102,20 +102,18 @@ class TestModelAgainstSimulation:
         """The analytic accuracy tracks the full-inventory simulation."""
         from repro.core.qcd import QCDDetector
         from repro.core.timing import TimingModel
-        from repro.sim.fast import fsa_fast
+        from repro.sim.batch import fsa_fast_batch
 
         n, frame, strength = 500, 300, 4
         predicted = expected_accuracy_fsa(n, frame, strength)
-        sims = [
-            fsa_fast(
-                n,
-                frame,
-                QCDDetector(strength),
-                TimingModel(),
-                np.random.default_rng(seed),
-            ).accuracy
-            for seed in range(20)
-        ]
+        runs = fsa_fast_batch(
+            n,
+            frame,
+            QCDDetector(strength),
+            TimingModel(),
+            [np.random.default_rng(seed) for seed in range(20)],
+        ).runs
+        sims = [s.accuracy for s in runs]
         measured = sum(sims) / len(sims)
         assert measured == pytest.approx(predicted, abs=0.02)
 

@@ -86,15 +86,16 @@ class TestAgainstSimulation:
 
         from repro.core.ideal import IdealDetector
         from repro.core.timing import TimingModel
-        from repro.sim.fast import bt_fast
+        from repro.sim.batch import bt_fast_batch
 
         n = 100
-        totals = [
-            bt_fast(
-                n, IdealDetector(64), TimingModel(), np.random.default_rng(s)
-            ).true_counts.total
-            for s in range(30)
-        ]
+        runs = bt_fast_batch(
+            n,
+            IdealDetector(64),
+            TimingModel(),
+            [np.random.default_rng(s) for s in range(30)],
+        ).runs
+        totals = [s.true_counts.total for s in runs]
         assert sum(totals) / len(totals) == pytest.approx(
             expected_bt_slots(n), rel=0.06
         )

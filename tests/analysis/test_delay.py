@@ -10,7 +10,7 @@ from repro.analysis.optimal_frame import SlotCosts
 from repro.core.crc_cd import CRCCDDetector
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
-from repro.sim.fast import fsa_fast
+from repro.sim.batch import fsa_fast_batch
 
 QCD_COSTS = SlotCosts.from_timing(QCDDetector(8), TimingModel())
 CRC_COSTS = SlotCosts.from_timing(CRCCDDetector(id_bits=64), TimingModel())
@@ -30,27 +30,27 @@ class TestModel:
     def test_matches_simulation_qcd(self):
         n, frame = 500, 300
         predicted = expected_mean_delay(n, frame, QCD_COSTS)
-        sims = [
-            fsa_fast(
-                n, frame, QCDDetector(8), TimingModel(), np.random.default_rng(s)
-            ).delay.mean
-            for s in range(15)
-        ]
+        runs = fsa_fast_batch(
+            n,
+            frame,
+            QCDDetector(8),
+            TimingModel(),
+            [np.random.default_rng(s) for s in range(15)],
+        ).runs
+        sims = [s.delay.mean for s in runs]
         assert sum(sims) / len(sims) == pytest.approx(predicted, rel=0.05)
 
     def test_matches_simulation_crc(self):
         n, frame = 500, 300
         predicted = expected_mean_delay(n, frame, CRC_COSTS)
-        sims = [
-            fsa_fast(
-                n,
-                frame,
-                CRCCDDetector(id_bits=64),
-                TimingModel(),
-                np.random.default_rng(s),
-            ).delay.mean
-            for s in range(15)
-        ]
+        runs = fsa_fast_batch(
+            n,
+            frame,
+            CRCCDDetector(id_bits=64),
+            TimingModel(),
+            [np.random.default_rng(s) for s in range(15)],
+        ).runs
+        sims = [s.delay.mean for s in runs]
         assert sum(sims) / len(sims) == pytest.approx(predicted, rel=0.05)
 
 

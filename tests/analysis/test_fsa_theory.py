@@ -62,9 +62,6 @@ class TestAgainstSimulation:
         count."""
         import numpy as np
 
-        from repro.core.qcd import QCDDetector
-        from repro.core.timing import TimingModel
-        from repro.sim.fast import fsa_fast
         from repro.protocols.estimators import expected_slot_counts
 
         n, frame = 300, 300

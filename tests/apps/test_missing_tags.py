@@ -90,13 +90,13 @@ class TestEfficiency:
     def test_verification_cheaper_than_identification(self):
         """Verifying a 500-tag manifest must cost far less airtime than
         reading 500 tags."""
-        from repro.sim.fast import fsa_fast
+        from repro.sim.batch import fsa_fast_batch
 
         expected = list(range(500))
         verify = detect(expected, expected[:480], QCDDetector(8), seed=9)
-        inventory = fsa_fast(
-            500, 300, QCDDetector(8), TimingModel(), np.random.default_rng(9)
-        )
+        inventory = fsa_fast_batch(
+            500, 300, QCDDetector(8), TimingModel(), [np.random.default_rng(9)]
+        ).runs[0]
         assert verify.airtime < 0.5 * inventory.total_time
 
     def test_round_count_logarithmic(self):

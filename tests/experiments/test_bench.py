@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.experiments.bench import (
 )
 
 TINY = dict(n_tags=120, frame_size=64, rounds=2, repeats=1, reader_tags=40)
+FROZEN_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 @pytest.fixture(scope="module")
@@ -27,9 +29,8 @@ class TestRunBench:
         assert set(report) == {"config", "kernels", "reader"}
         assert set(report["kernels"]) == {"fsa", "dfsa", "bt"}
         for entry in report["kernels"].values():
-            assert entry["streamed_ms_per_round"] > 0
+            assert set(entry) == {"batched_ms_per_round"}
             assert entry["batched_ms_per_round"] > 0
-            assert entry["batch_speedup_vs_streamed"] > 0
         reader = report["reader"]
         assert set(reader) == {
             "object_ms",
@@ -45,16 +46,12 @@ class TestRunBench:
 
     def test_frozen_engines_measured_when_module_given(self):
         import sys
-        from pathlib import Path
 
-        frozen_dir = (
-            Path(__file__).resolve().parents[2] / "benchmarks"
-        )
-        sys.path.insert(0, str(frozen_dir))
+        sys.path.insert(0, str(FROZEN_DIR))
         try:
             import _reference_kernels as frozen
         finally:
-            sys.path.remove(str(frozen_dir))
+            sys.path.remove(str(FROZEN_DIR))
         rep = run_bench(frozen=frozen, **TINY)
         assert rep["config"]["frozen_measured"] is True
         for entry in rep["kernels"].values():
@@ -66,23 +63,20 @@ class TestGate:
     def _report(self, fsa_ratio=2.0, reader_ratio=1.3):
         return {
             "kernels": {
-                "fsa": {"batch_speedup_vs_streamed": fsa_ratio},
+                "fsa": {"batch_speedup_vs_frozen": fsa_ratio},
             },
             "reader": {"packed_speedup": reader_ratio},
         }
 
     def test_passes_against_itself(self):
-        # Synthetic ratios: at the TINY measurement size batching overhead
-        # can leave batched ~= streamed, which the absolute <1.0x check
-        # correctly flags -- that is not what this test is about.
         report = self._report()
         assert check_against_baseline(report, report, 0.25) == []
 
-    def test_flags_batch_slower_than_streamed(self):
+    def test_flags_batch_slower_than_frozen(self):
         problems = check_against_baseline(
             self._report(fsa_ratio=0.8), self._report(), 0.25
         )
-        assert any("slower than streamed" in p for p in problems)
+        assert any("slower than the frozen" in p for p in problems)
 
     def test_flags_ratio_regression(self):
         problems = check_against_baseline(
@@ -164,7 +158,7 @@ class TestCli:
             json.dumps(
                 {
                     "kernels": {
-                        "fsa": {"batch_speedup_vs_streamed": 1e9},
+                        "fsa": {"batch_speedup_vs_frozen": 1e9},
                     },
                     "reader": {"packed_speedup": 1.0},
                 }
@@ -176,10 +170,27 @@ class TestCli:
                 "--rounds", "2", "--repeats", "1", "--reader-tags", "40",
                 "--out", str(out),
                 "--baseline", str(baseline),
-                "--frozen-dir", str(tmp_path / "missing"),
+                "--frozen-dir", str(FROZEN_DIR),
             ]
         )
         assert rc == 1
+
+    def test_baseline_without_frozen_kernels_is_an_error(
+        self, tmp_path, capsys
+    ):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"kernels": {}, "reader": {}}))
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "--out", str(tmp_path / "bench.json"),
+                    "--baseline", str(baseline),
+                    "--frozen-dir", str(tmp_path / "missing"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "_reference_kernels.py" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
 
     def test_writes_reader_report(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -99,8 +99,8 @@ class TestSuiteIntegration:
 
         from repro.experiments import parallel as par
 
-        monkeypatch.setattr(par, "fsa_fast", counted(par.fsa_fast))
-        monkeypatch.setattr(par, "bt_fast", counted(par.bt_fast))
+        monkeypatch.setattr(par, "fsa_fast_batch", counted(par.fsa_fast_batch))
+        monkeypatch.setattr(par, "bt_fast_batch", counted(par.bt_fast_batch))
 
         warm = ExperimentSuite(rounds=3, seed=2, cache_dir=tmp_path).grid(
             **grid

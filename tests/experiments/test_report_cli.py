@@ -126,7 +126,7 @@ class TestObsCli:
         from repro.bits.rng import make_rng
         from repro.core.qcd import QCDDetector
         from repro.protocols.fsa import FramedSlottedAloha
-        from repro.sim.fast import fsa_fast
+        from repro.sim.batch import fsa_fast_batch
         from repro.sim.metrics import slot_counts
         from repro.sim.reader import Reader
         from repro.tags.population import TagPopulation
@@ -149,13 +149,13 @@ class TestObsCli:
         pop = TagPopulation(100, id_bits=64, rng=make_rng(3))
         reader = Reader(QCDDetector(8), suite.timing)
         result = reader.run_inventory(pop.tags, FramedSlottedAloha(64))
-        kernel = fsa_fast(
+        kernel = fsa_fast_batch(
             1000,
             600,
             QCDDetector(8),
             suite.timing,
-            np.random.Generator(np.random.PCG64(3)),
-        )
+            [np.random.Generator(np.random.PCG64(3))],
+        ).runs[0]
         exact = slot_counts(result.trace)
         want = {
             "IDLE": exact.idle + kernel.true_counts.idle,

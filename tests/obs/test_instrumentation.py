@@ -19,7 +19,7 @@ from repro.core.timing import TimingModel
 from repro.obs import instruments as inst
 from repro.protocols.bt import BinaryTree
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.fast import bt_fast, dfsa_fast, fsa_fast
+from repro.sim.batch import bt_fast_batch, dfsa_fast_batch, fsa_fast_batch
 from repro.sim.metrics import slot_counts
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
@@ -113,22 +113,23 @@ class TestExactReader:
 class TestKernels:
     @pytest.mark.parametrize("scheme", ["fsa", "bt", "dfsa"])
     def test_kernel_counters_match_stats(self, scheme):
-        rng = np.random.default_rng(11)
+        rngs = [np.random.default_rng(11)]
         timing = TimingModel()
         obs.enable()
         if scheme == "fsa":
-            stats = fsa_fast(500, 300, QCDDetector(4), timing, rng)
+            result = fsa_fast_batch(500, 300, QCDDetector(4), timing, rngs)
             engine = "fast_fsa"
         elif scheme == "bt":
-            stats = bt_fast(500, QCDDetector(4), timing, rng)
+            result = bt_fast_batch(500, QCDDetector(4), timing, rngs)
             engine = "fast_bt"
         else:
             from repro.protocols.estimators import LowerBoundEstimator
 
-            stats = dfsa_fast(
-                500, 64, LowerBoundEstimator(), QCDDetector(4), timing, rng
+            result = dfsa_fast_batch(
+                500, 64, LowerBoundEstimator(), QCDDetector(4), timing, rngs
             )
             engine = "fast_dfsa"
+        (stats,) = result.runs
         obs.disable()
         assert observed("true_type") == drop_zeros(
             counts_as_dict(stats.true_counts)
@@ -140,7 +141,7 @@ class TestKernels:
         assert reg.get(inst.IDENTIFIED).value == stats.true_counts.single
         assert reg.get(inst.INVENTORIES).labels(engine=engine).value == 1
         fam = reg.get(obs.PROFILE_METRIC)
-        assert fam.labels(section=f"fast.{scheme}_fast").count == 1
+        assert fam.labels(section=f"batch.{scheme}_fast_batch").count == 1
 
 
 class TestDrivers:

@@ -1,11 +1,15 @@
-"""Bit-exactness of the round-batched Monte-Carlo kernels.
+"""Bit-exactness of the Monte-Carlo kernels.
 
-The batched engines replay the streamed kernels' per-round RNG call
-order, so the comparisons here are *exact* (``stats_equal``, every field
-of every round), not distributional: a single differing bit anywhere in
-the delay statistics, slot counts, or airtime fails.
+The FSA/DFSA kernels consume each round's stream exactly like the frozen
+pre-batching per-round ("streamed") kernels in
+``benchmarks/_reference_kernels.py``, so those comparisons are *exact*
+(``stats_equal``, every field of every round), not distributional: a
+single differing bit anywhere in the delay statistics, slot counts, or
+airtime fails.  The frozen BT walker used an older depth-first draw
+order, so the BT kernel is compared against a streamed loop of
+one-round calls instead and stays anchored by the golden pins below.
 
-A golden pin keeps the batched kernels anchored to the committed
+A golden pin keeps the kernels anchored to the committed
 slot-distribution file; regenerate the batched entries after an
 *intentional* behavior change with::
 
@@ -14,6 +18,8 @@ slot-distribution file; regenerate the batched entries after an
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -30,24 +36,34 @@ from repro.experiments.runner import AggregateStats
 from repro.protocols.estimators import LowerBoundEstimator, SchouteEstimator
 from repro.sim.batch import (
     BatchResult,
+    _miss_eval,
+    _miss_lut,
+    _miss_prob_fn,
+    _split_lefts,
     bt_fast_batch,
     dfsa_fast_batch,
     fsa_fast_batch,
     stats_equal,
 )
-from repro.sim.fast import (
-    _miss_eval,
-    _miss_lut,
-    _miss_prob_fn,
-    _split_lefts,
-    bt_fast,
-    dfsa_fast,
-    fsa_fast,
-)
 from repro.sim.metrics import DelayStats
 
 ROUNDS = 8
 N, F = 97, 48
+
+REPO = Path(__file__).resolve().parents[2]
+GOLDEN_PATH = REPO / "tests" / "data" / "golden_batch_kernels.json"
+
+
+def _load_frozen():
+    path = REPO / "benchmarks" / "_reference_kernels.py"
+    spec = importlib.util.spec_from_file_location("_reference_kernels", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+frozen = _load_frozen()
+
 
 DETECTOR_FACTORIES = {
     "qcd-8": lambda: QCDDetector(8),
@@ -55,12 +71,6 @@ DETECTOR_FACTORIES = {
     "crc": lambda: CRCCDDetector(id_bits=64),
     "ideal": lambda: IdealDetector(64),
 }
-
-GOLDEN_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "data"
-    / "golden_batch_kernels.json"
-)
 
 
 def children(salt: int, rounds: int = ROUNDS):
@@ -77,13 +87,18 @@ def assert_runs_equal(batch: BatchResult, streamed) -> None:
         assert stats_equal(a, b)
 
 
+def bt_one_per_call(n, det, timing, kids):
+    """The streamed BT loop: one kernel call per round."""
+    return [bt_fast_batch(n, det, timing, [c]).runs[0] for c in kids]
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("scheme", sorted(DETECTOR_FACTORIES))
     def test_fsa_matches_streamed(self, scheme, timing):
         det = DETECTOR_FACTORIES[scheme]()
         kids = children(1)
         batch = fsa_fast_batch(N, F, det, timing, kids)
-        streamed = [fsa_fast(N, F, det, timing, gen(c)) for c in kids]
+        streamed = [frozen.fsa_fast(N, F, det, timing, gen(c)) for c in kids]
         assert_runs_equal(batch, streamed)
 
     @pytest.mark.parametrize("scheme", sorted(DETECTOR_FACTORIES))
@@ -91,8 +106,7 @@ class TestEquivalence:
         det = DETECTOR_FACTORIES[scheme]()
         kids = children(2)
         batch = bt_fast_batch(N, det, timing, kids)
-        streamed = [bt_fast(N, det, timing, gen(c)) for c in kids]
-        assert_runs_equal(batch, streamed)
+        assert_runs_equal(batch, bt_one_per_call(N, det, timing, kids))
 
     @pytest.mark.parametrize(
         "estimator_factory", [SchouteEstimator, LowerBoundEstimator]
@@ -104,7 +118,7 @@ class TestEquivalence:
             N, 16, estimator_factory(), det, timing, kids
         )
         streamed = [
-            dfsa_fast(N, 16, estimator_factory(), det, timing, gen(c))
+            frozen.dfsa_fast(N, 16, estimator_factory(), det, timing, gen(c))
             for c in kids
         ]
         assert_runs_equal(batch, streamed)
@@ -116,7 +130,7 @@ class TestEquivalence:
             N, F, det, timing, kids, collect_delays=False, confirm_frame=False
         )
         streamed = [
-            fsa_fast(
+            frozen.fsa_fast(
                 N,
                 F,
                 det,
@@ -130,27 +144,42 @@ class TestEquivalence:
         assert_runs_equal(batch, streamed)
 
     def test_bt_without_delays(self, timing):
+        """Skipping the slot-order reconstruction changes only the delay
+        statistics: counts and the closed-form airtime are unchanged."""
         det = QCDDetector(4)
         kids = children(5)
-        batch = bt_fast_batch(N, det, timing, kids, collect_delays=False)
-        streamed = [
-            bt_fast(N, det, timing, gen(c), collect_delays=False)
-            for c in kids
-        ]
-        assert_runs_equal(batch, streamed)
+        bare = bt_fast_batch(N, det, timing, kids, collect_delays=False)
+        full = bt_fast_batch(N, det, timing, kids)
+        for a, b in zip(bare.runs, full.runs):
+            assert a.delay.count == 0
+            assert stats_equal(a, dataclasses.replace(b, delay=a.delay))
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_degenerate_populations(self, n, timing):
         det = QCDDetector(8)
         kids = children(6, rounds=3)
-        assert_runs_equal(
-            fsa_fast_batch(n, 4, det, timing, kids),
-            [fsa_fast(n, 4, det, timing, gen(c)) for c in kids],
-        )
+        for confirm in (True, False):
+            assert_runs_equal(
+                fsa_fast_batch(
+                    n, 4, det, timing, kids, confirm_frame=confirm
+                ),
+                [
+                    frozen.fsa_fast(
+                        n, 4, det, timing, gen(c), confirm_frame=confirm
+                    )
+                    for c in kids
+                ],
+            )
         assert_runs_equal(
             bt_fast_batch(n, det, timing, kids),
-            [bt_fast(n, det, timing, gen(c)) for c in kids],
+            bt_one_per_call(n, det, timing, kids),
         )
+
+    def test_one_slot_frame_gives_up(self, timing):
+        """Two tags always collide in a one-slot frame, so the inventory
+        can never end; the kernel must raise instead of spinning."""
+        with pytest.raises(RuntimeError, match="fsa_fast_batch exceeded"):
+            fsa_fast_batch(2, 1, QCDDetector(8), timing, children(16, 1))
 
     def test_accepts_ready_generators(self, timing):
         """Already-built generators pass through ``_generators``."""
@@ -192,23 +221,28 @@ class TestSharding:
 class TestDispatch:
     @pytest.mark.parametrize("protocol", ["fsa", "bt"])
     def test_run_rounds_batched_matches_streamed(self, protocol, timing):
+        """``run_rounds`` runs a job's rounds in one kernel call; that
+        equals a streamed loop of one-round calls."""
         case = SimulationCase("t", 60, 32)
         kids = tuple(children(10, rounds=5))
-        jobs = {
-            batched: GridPointJob(
-                case=case,
-                protocol=protocol,
-                scheme="qcd-8",
-                children=kids,
-                timing=timing,
-                batched=batched,
-            )
-            for batched in (True, False)
-        }
-        a = run_rounds(jobs[True])
-        b = run_rounds(jobs[False])
-        assert len(a) == len(b) == 5
-        assert all(stats_equal(x, y) for x, y in zip(a, b))
+        job = GridPointJob(
+            case=case,
+            protocol=protocol,
+            scheme="qcd-8",
+            children=kids,
+            timing=timing,
+        )
+        det = QCDDetector(8)
+        if protocol == "fsa":
+            streamed = [
+                fsa_fast_batch(60, 32, det, timing, [c]).runs[0]
+                for c in kids
+            ]
+        else:
+            streamed = bt_one_per_call(60, det, timing, kids)
+        runs = run_rounds(job)
+        assert len(runs) == 5
+        assert all(stats_equal(x, y) for x, y in zip(runs, streamed))
 
     def test_run_rounds_unknown_protocol(self, timing):
         job = GridPointJob(

@@ -1,4 +1,4 @@
-"""dfsa_fast kernel tests: cross-validation and estimator plumbing."""
+"""dfsa_fast_batch kernel tests: cross-validation and estimator plumbing."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.protocols.estimators import (
     SchouteEstimator,
     VogtEstimator,
 )
-from repro.sim.fast import dfsa_fast
+from repro.sim.batch import dfsa_fast_batch, fsa_fast_batch
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 
@@ -26,14 +26,14 @@ N = 150
 
 
 def fast(estimator, seed=0, n=N, initial=16):
-    return dfsa_fast(
+    return dfsa_fast_batch(
         n,
         initial,
         estimator,
         QCDDetector(8),
         TimingModel(),
-        np.random.default_rng(seed),
-    )
+        [np.random.default_rng(seed)],
+    ).runs[0]
 
 
 class TestBasics:
@@ -52,9 +52,9 @@ class TestBasics:
         with pytest.raises(ValueError):
             fast(SchouteEstimator(), initial=0)
         with pytest.raises(ValueError):
-            dfsa_fast(
+            dfsa_fast_batch(
                 5, 4, SchouteEstimator(), QCDDetector(8), TimingModel(),
-                np.random.default_rng(0), min_frame_size=8, max_frame_size=4,
+                [np.random.default_rng(0)], min_frame_size=8, max_frame_size=4,
             )
 
     def test_reproducible(self):
@@ -95,12 +95,10 @@ class TestCrossValidation:
         )
 
     def test_adaptation_beats_static_undersized(self):
-        from repro.sim.fast import fsa_fast
-
         adaptive = fast(SchouteEstimator(), seed=7, n=600, initial=32)
-        static = fsa_fast(
-            600, 150, QCDDetector(8), TimingModel(), np.random.default_rng(7)
-        )
+        static = fsa_fast_batch(
+            600, 150, QCDDetector(8), TimingModel(), [np.random.default_rng(7)]
+        ).runs[0]
         assert adaptive.true_counts.total < static.true_counts.total
 
 

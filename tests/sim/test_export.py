@@ -168,16 +168,16 @@ class TestStrictJson:
         import numpy as np
 
         from repro.core.timing import TimingModel
-        from repro.sim.fast import fsa_fast
+        from repro.sim.batch import fsa_fast_batch
 
         # A 0-tag inventory identifies nothing, so its delay stats are NaN.
-        stats = fsa_fast(
+        stats = fsa_fast_batch(
             0,
             8,
             QCDDetector(8),
             TimingModel(),
-            np.random.Generator(np.random.PCG64(1)),
-        )
+            [np.random.Generator(np.random.PCG64(1))],
+        ).runs[0]
         path = write_stats_json(stats, tmp_path / "s.json")
         doc = json.loads(path.read_text(), parse_constant=pytest.fail)
         assert doc["delay_mean"] is None

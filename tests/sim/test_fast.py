@@ -1,8 +1,10 @@
 """Cross-validation of the vectorized kernels against the exact reader.
 
-The kernels simulate the same stochastic process with different random
-streams, so the comparison is distributional: means over a batch of rounds
-must agree within Monte-Carlo tolerance.
+The kernels (:mod:`repro.sim.batch`) simulate the same stochastic process
+with different random streams, so the comparison is distributional: means
+over a batch of rounds must agree within Monte-Carlo tolerance.  A few
+single-inventory edge cases follow; bit-exactness lives in
+``tests/sim/test_batch.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.protocols.bt import BinaryTree
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.fast import bt_fast, fsa_fast
+from repro.sim.batch import bt_fast_batch, fsa_fast_batch
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 from repro.bits.rng import make_rng
@@ -39,10 +41,8 @@ def exact_fsa_batch(detector_factory, timing):
 
 
 def fast_fsa_batch(detector, timing):
-    return [
-        fsa_fast(N, F, detector, timing, np.random.default_rng(200 + i))
-        for i in range(ROUNDS)
-    ]
+    rngs = [np.random.default_rng(200 + i) for i in range(ROUNDS)]
+    return fsa_fast_batch(N, F, detector, timing, rngs).runs
 
 
 def exact_bt_batch(detector_factory, timing):
@@ -57,10 +57,19 @@ def exact_bt_batch(detector_factory, timing):
 
 
 def fast_bt_batch(detector, timing):
-    return [
-        bt_fast(N, detector, timing, np.random.default_rng(400 + i))
-        for i in range(ROUNDS)
-    ]
+    rngs = [np.random.default_rng(400 + i) for i in range(ROUNDS)]
+    return bt_fast_batch(N, detector, timing, rngs).runs
+
+
+def fsa_one(n, frame, detector, timing, seed, **kw):
+    """One inventory: a batch of one stream."""
+    rngs = [np.random.default_rng(seed)]
+    return fsa_fast_batch(n, frame, detector, timing, rngs, **kw).runs[0]
+
+
+def bt_one(n, detector, timing, seed):
+    rngs = [np.random.default_rng(seed)]
+    return bt_fast_batch(n, detector, timing, rngs).runs[0]
 
 
 def mean(stats, f):
@@ -134,44 +143,28 @@ class TestBtCrossValidation:
 
 class TestKernelEdgeCases:
     def test_zero_tags_fsa(self, tm):
-        stats = fsa_fast(0, 16, QCDDetector(8), tm, np.random.default_rng(0))
+        stats = fsa_one(0, 16, QCDDetector(8), tm, 0)
         # Only the confirmation frame runs.
         assert stats.true_counts.single == 0
         assert stats.true_counts.idle == 16
 
     def test_zero_tags_fsa_no_confirm(self, tm):
-        stats = fsa_fast(
-            0, 16, QCDDetector(8), tm, np.random.default_rng(0), confirm_frame=False
-        )
+        stats = fsa_one(0, 16, QCDDetector(8), tm, 0, confirm_frame=False)
         assert stats.true_counts.total == 0
 
     def test_zero_tags_bt(self, tm):
-        stats = bt_fast(0, QCDDetector(8), tm, np.random.default_rng(0))
+        stats = bt_one(0, QCDDetector(8), tm, 0)
         assert stats.true_counts.total == 0
 
     def test_one_tag_bt(self, tm):
-        stats = bt_fast(1, QCDDetector(8), tm, np.random.default_rng(0))
+        stats = bt_one(1, QCDDetector(8), tm, 0)
         assert stats.true_counts.total == 1
         assert stats.true_counts.single == 1
 
-    def test_invalid_args(self, tm):
-        with pytest.raises(ValueError):
-            fsa_fast(-1, 16, QCDDetector(8), tm, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            fsa_fast(5, 0, QCDDetector(8), tm, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            bt_fast(-1, QCDDetector(8), tm, np.random.default_rng(0))
-
     def test_ideal_detector_never_misses(self, tm):
-        stats = fsa_fast(200, 64, IdealDetector(64), tm, np.random.default_rng(1))
+        stats = fsa_one(200, 64, IdealDetector(64), tm, 1)
         assert stats.missed_collisions == 0
         assert stats.accuracy == 1.0
-
-    def test_reproducible(self, tm):
-        a = fsa_fast(100, 64, QCDDetector(8), tm, np.random.default_rng(5))
-        b = fsa_fast(100, 64, QCDDetector(8), tm, np.random.default_rng(5))
-        assert a.true_counts == b.true_counts
-        assert a.total_time == b.total_time
 
     def test_generic_detector_fallback(self, tm):
         """A detector outside the known three goes through the generic
@@ -196,5 +189,5 @@ class TestKernelEdgeCases:
             def miss_probability(self, m):
                 return 0.5
 
-        stats = fsa_fast(100, 32, Flaky(), tm, np.random.default_rng(2))
+        stats = fsa_one(100, 32, Flaky(), tm, 2)
         assert stats.missed_collisions > 0

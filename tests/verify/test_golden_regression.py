@@ -23,7 +23,7 @@ from repro.core.timing import TimingModel
 from repro.protocols.bt import BinaryTree
 from repro.protocols.dfsa import DynamicFSA
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.fast import bt_fast, fsa_fast
+from repro.sim.batch import bt_fast_batch, fsa_fast_batch
 from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 
@@ -105,16 +105,18 @@ def generate() -> dict:
         out[f"reader-dfsa-{label}"] = _counts(res.stats)
 
     out["fsa-fast"] = _counts(
-        fsa_fast(
+        fsa_fast_batch(
             N_TAGS,
             FRAME,
             QCDDetector(STRENGTH),
             timing,
-            np.random.default_rng(SEED),
-        )
+            [np.random.default_rng(SEED)],
+        ).runs[0]
     )
     out["bt-fast"] = _counts(
-        bt_fast(N_TAGS, QCDDetector(STRENGTH), timing, np.random.default_rng(SEED))
+        bt_fast_batch(
+            N_TAGS, QCDDetector(STRENGTH), timing, [np.random.default_rng(SEED)]
+        ).runs[0]
     )
     return out
 

@@ -22,7 +22,6 @@ from repro.verify.oracles import (
 EXPECTED = {
     "fsa-kernel-vs-reader": "kernel-reader",
     "bt-kernel-vs-reader": "kernel-reader",
-    "batch-vs-streamed": "kernel-kernel",
     "batch-reader": "reader-reader",
     "fsa-frame-vs-theory": "sim-theory",
     "bt-slots-vs-theory": "sim-theory",
@@ -44,13 +43,13 @@ def make_context(rounds=3, seed=2010):
 
 class TestRegistry:
     def test_issue_coverage(self):
-        """The floor the acceptance criteria demand: two kernel-reader
-        pairs, at least three sim-theory pairs, one invariant sweep."""
+        """The registered floor: two kernel-reader pairs, one
+        reader-reader pair, at least three sim-theory pairs, one
+        invariant sweep."""
         kinds = {name: o.kind for name, o in ORACLES.items()}
         assert kinds == EXPECTED
         by_kind = list(kinds.values())
         assert by_kind.count("kernel-reader") == 2
-        assert by_kind.count("kernel-kernel") == 1
         assert by_kind.count("reader-reader") == 1
         assert by_kind.count("sim-theory") >= 3
         assert by_kind.count("invariant") == 1
