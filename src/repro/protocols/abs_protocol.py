@@ -57,9 +57,13 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
         if fresh:
             for tag in self._tags:
                 tag.counter = 0
-            self._max_asc = 0
-        else:
-            self._max_asc = max((t.counter for t in self._tags), default=0)
+        self._update_max_asc(self.active_tags())
+
+    def _update_max_asc(self, active: list[Tag]) -> None:
+        """``_max_asc`` is the largest ASC among the *active* tags (PSC - 1
+        when none is left), kept exact after every call so that
+        :attr:`finished` need not rescan the population each slot."""
+        self._max_asc = max((t.counter for t in active), default=self._psc - 1)
 
     def admit(self, tag: Tag) -> None:
         """A new arrival draws a random ASC in the not-yet-progressed range
@@ -69,6 +73,10 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
         tag.counter = int(tag.rng.integers(self._psc, hi + 1))
         self._max_asc = max(self._max_asc, tag.counter)
 
+    def withdraw(self, tag: Tag) -> None:
+        super().withdraw(tag)
+        self._update_max_asc(self.active_tags())
+
     # ------------------------------------------------------------------
 
     def responders(self) -> list[Tag]:
@@ -76,28 +84,24 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
 
     def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
         self._note_slot()
-        responder_set = set(id(t) for t in responders)
+        active = self.active_tags()
         if effective is SlotType.COLLIDED:
-            for tag in self.active_tags():
+            responder_set = set(id(t) for t in responders)
+            for tag in active:
                 if id(tag) in responder_set:
                     tag.counter += int(tag.rng.integers(0, 2))
                 else:
                     if tag.counter > self._psc:
                         tag.counter += 1
         elif effective is SlotType.IDLE:
-            for tag in self.active_tags():
+            for tag in active:
                 if tag.counter > self._psc:
                     tag.counter -= 1
         else:  # single
             self._psc += 1
-        self._max_asc = max(
-            (t.counter for t in self.active_tags()), default=self._psc - 1
-        )
+        self._update_max_asc(active)
 
     @property
     def finished(self) -> bool:
         """Round over when the reader has progressed past every ASC."""
-        active = self.active_tags()
-        if not active:
-            return True
-        return self._psc > max(t.counter for t in active)
+        return not self.has_active_tags() or self._psc > self._max_asc

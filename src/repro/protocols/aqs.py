@@ -15,6 +15,11 @@ their parent between rounds (the parent is guaranteed idle too, so the
 merge loses nothing); a single-prefix is never merged, since combining it
 with its sibling would re-create the collision the previous round already
 paid to resolve.
+
+Probes are answered by
+:meth:`~repro.protocols.base.AntiCollisionProtocol.prefix_responders`
+(a bisection over the sorted IDs, as in :mod:`repro.protocols.qt`), and
+every tag in a round must carry the same ID length.
 """
 
 from __future__ import annotations
@@ -45,6 +50,11 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
         self.aborted = False
 
     def start(self, tags: Sequence[Tag], fresh: bool = True) -> None:
+        if tags and len({t.id_bits for t in tags}) > 1:
+            # feedback bounds the split depth by one l_id; a shorter ID
+            # would stop the walk above the longer ones and leave them
+            # unidentified without any error.
+            raise ValueError("AdaptiveQuerySplitting requires uniform ID length")
         AntiCollisionProtocol.start(self, tags)
         self.frames_started = 1  # one continuous logical frame
         self.aborted = False
@@ -86,8 +96,7 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
     def responders(self) -> list[Tag]:
         if not self._queue:
             return []
-        prefix = self._queue[0]
-        return [t for t in self.active_tags() if t.responds_to_prefix(prefix)]
+        return self.prefix_responders(self._queue[0])
 
     def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
         self._note_slot()

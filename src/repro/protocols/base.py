@@ -20,17 +20,28 @@ Protocols also expose ``frames_started`` so the harness can report the
 paper's "# of frame" column; tree protocols count the whole identification
 as a sequence of slots and report the slot count there, matching the
 paper's Table VIII convention.
+
+Query-tree protocols answer each prefix probe with
+:meth:`AntiCollisionProtocol.prefix_responders`: the tags under a prefix
+are one contiguous run of the sorted integer IDs, so a probe costs two
+bisections plus the matches instead of a pass over every tag.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from typing import Sequence
 
+from repro.bits.bitvec import BitVector
 from repro.core.detector import SlotType
 from repro.tags.tag import Tag
 
 __all__ = ["AntiCollisionProtocol"]
+
+#: :meth:`AntiCollisionProtocol.prefix_responders` index for populations
+#: that must be scanned tag by tag.
+_SCAN: tuple[list[int], list[int], int] = ([], [], 0)
 
 
 class AntiCollisionProtocol(ABC):
@@ -46,6 +57,7 @@ class AntiCollisionProtocol(ABC):
     def __init__(self) -> None:
         self._tags: list[Tag] = []
         self._live: list[Tag] = []
+        self._prefix_index: tuple[list[int], list[int], int] | None = None
         self.frames_started = 0
         self.slots_elapsed = 0
 
@@ -81,6 +93,7 @@ class AntiCollisionProtocol(ABC):
         """
         self._tags = list(tags)
         self._live = list(self._tags)
+        self._prefix_index = None
         self.frames_started = 0
         self.slots_elapsed = 0
 
@@ -92,6 +105,7 @@ class AntiCollisionProtocol(ABC):
         """
         self._tags.append(tag)
         self._live.append(tag)
+        self._prefix_index = None
 
     def withdraw(self, tag: Tag) -> None:
         """A tag left the range mid-round; it stops responding."""
@@ -99,6 +113,53 @@ class AntiCollisionProtocol(ABC):
             self._tags.remove(tag)
         if tag in self._live:
             self._live.remove(tag)
+        self._prefix_index = None
+
+    def prefix_responders(self, prefix: BitVector) -> list[Tag]:
+        """The active tags answering a Query-Tree probe with ``prefix``.
+
+        Equal, element for element and in ``active_tags()`` order, to
+        ``[t for t in active_tags() if t.responds_to_prefix(prefix)]``.
+        An ``l_id``-bit ID starts with the ``L``-bit prefix ``p`` iff it
+        lies in ``[p << (l_id - L), (p + 1) << (l_id - L))``, so the
+        matches are found by bisecting the sorted IDs; their positions are
+        then sorted back into ``_tags`` order and identified tags skipped.
+        The index is built on first use after :meth:`start` and dropped by
+        :meth:`admit` / :meth:`withdraw`.  Populations that the ID range
+        does not describe -- a tag class overriding ``responds_to_prefix``
+        (the jammers of :mod:`repro.security.blocker`) or mixed ID lengths
+        -- are scanned tag by tag instead.
+        """
+        index = self._prefix_index
+        if index is None:
+            index = self._prefix_index = self._build_prefix_index()
+        if index is _SCAN:
+            return [
+                t for t in self.active_tags() if t.responds_to_prefix(prefix)
+            ]
+        ids, positions, id_bits = index
+        shift = id_bits - prefix.length
+        if shift < 0:
+            return []
+        value = prefix.to_int()
+        lo = bisect_left(ids, value << shift)
+        hi = bisect_left(ids, (value + 1) << shift, lo)
+        tags = self._tags
+        return [
+            tags[i] for i in sorted(positions[lo:hi]) if not tags[i].identified
+        ]
+
+    def _build_prefix_index(self) -> tuple[list[int], list[int], int]:
+        """``(sorted IDs, their positions in _tags, l_id)``, or ``_SCAN``."""
+        tags = self._tags
+        plain = Tag.responds_to_prefix
+        if len({t.id_bits for t in tags}) > 1 or any(
+            type(t).responds_to_prefix is not plain for t in tags
+        ):
+            return _SCAN
+        order = sorted(range(len(tags)), key=lambda i: tags[i].tag_id)
+        id_bits = tags[0].id_bits if tags else 0
+        return [tags[i].tag_id for i in order], order, id_bits
 
     # ------------------------------------------------------------------
 

@@ -15,6 +15,13 @@ see :mod:`repro.security.blocker` for that attack and the selective
 
 The queue is bounded in our implementation (``max_slots``) so adversarial
 populations terminate the simulation cleanly instead of hanging.
+
+Each probe is answered by
+:meth:`~repro.protocols.base.AntiCollisionProtocol.prefix_responders`,
+which bisects the sorted tag IDs instead of asking every tag, so a slot
+costs two bisections plus its k responders rather than a pass over all n
+tags.  Populations holding tags that override ``responds_to_prefix`` (the
+jammers) are still asked tag by tag, so the attack runs unchanged.
 """
 
 from __future__ import annotations
@@ -67,11 +74,7 @@ class QueryTree(AntiCollisionProtocol):
         if not self._queue:
             return []
         self._current = self._queue[0]
-        return [
-            t
-            for t in self.active_tags()
-            if t.responds_to_prefix(self._current)
-        ]
+        return self.prefix_responders(self._current)
 
     def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
         self._note_slot()

@@ -104,3 +104,23 @@ class TestBounds:
         proto = AdaptiveQuerySplitting(max_slots=5)
         Reader(QCDDetector(8)).run_inventory(pop.tags, proto)
         assert proto.aborted
+
+
+class TestValidation:
+    def test_mixed_id_lengths_rejected(self):
+        """A 4-bit ID bounded the split depth, so the two 8-bit tags under
+        it were never split apart and no tag was identified, silently."""
+        import pytest
+
+        from repro.bits.rng import make_rng
+        from repro.tags.tag import Tag
+
+        tags = [
+            Tag(tag_id=0b1010, id_bits=4, rng=make_rng(0)),
+            Tag(tag_id=0b10100000, id_bits=8, rng=make_rng(1)),
+            Tag(tag_id=0b10100001, id_bits=8, rng=make_rng(2)),
+        ]
+        with pytest.raises(ValueError, match="uniform ID length"):
+            Reader(QCDDetector(8)).run_inventory(tags, AdaptiveQuerySplitting())
+        with pytest.raises(ValueError, match="uniform ID length"):
+            AdaptiveQuerySplitting().start(tags, fresh=False)
