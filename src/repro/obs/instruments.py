@@ -12,8 +12,9 @@ enabled mode.  The contract that makes the dumps trustworthy:
 * summing ``repro_slots_total`` over ``detected_type`` grouped by
   ``true_type`` reproduces :func:`repro.sim.metrics.slot_counts` of the
   same run exactly (and vice versa for detected counts), whether the run
-  went through the exact reader (per-slot increments) or a vectorized
-  kernel (bulk increments from the synthesized stats).
+  went through the exact reader (per-slot increments, or per-frame bulk
+  increments on its frame-batched tier) or a vectorized kernel (bulk
+  increments from the synthesized stats).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "GATEWAY_INVENTORIES",
     "GATEWAY_REPORT_SECONDS",
     "record_slot",
+    "record_slots",
     "record_inventory",
     "record_kernel_stats",
 ]
@@ -144,6 +146,24 @@ AIRTIME_BUCKETS = tuple(
 )
 
 
+_HELP = {
+    IDENTIFIED: "Tags successfully identified",
+    LOST: "Tags lost to misdetection ('lost' policy)",
+    CAPTURES: "Collided slots resolved by the capture effect",
+}
+_IDENTIFIED_KEY = (IDENTIFIED,)
+_LOST_KEY = (LOST,)
+_CAPTURES_KEY = (CAPTURES,)
+_MISSED_KEY = (MISDETECTIONS, "missed_collision")
+_FALSE_KEY = (MISDETECTIONS, "false_collision")
+
+
+def _misdetections_counter():
+    return STATE.registry.counter(
+        MISDETECTIONS, "Detector errors by kind", labelnames=("kind",)
+    )
+
+
 def _slots_counter():
     return STATE.registry.counter(
         SLOTS,
@@ -165,28 +185,19 @@ def record_slot(record) -> None:
         true_type=true_name, detected_type=detected_name
     ).inc()
     if record.identified_tag is not None:
-        reg.counter(IDENTIFIED, "Tags successfully identified").inc()
+        reg.counter(IDENTIFIED, _HELP[IDENTIFIED]).inc()
     if record.lost_tags:
-        reg.counter(
-            LOST, "Tags lost to misdetection ('lost' policy)"
-        ).inc(record.lost_tags)
+        reg.counter(LOST, _HELP[LOST]).inc(record.lost_tags)
     if record.captured:
-        reg.counter(
-            CAPTURES, "Collided slots resolved by the capture effect"
-        ).inc()
-    if (
-        true_name == "COLLIDED"
-        and detected_name == "SINGLE"
-        and not record.captured
-    ):
-        reg.counter(
-            MISDETECTIONS, "Detector errors by kind", labelnames=("kind",)
-        ).labels(kind="missed_collision").inc()
+        reg.counter(CAPTURES, _HELP[CAPTURES]).inc()
+    elif true_name == "COLLIDED" and detected_name == "SINGLE":
+        _misdetections_counter().labels(kind="missed_collision").inc()
     elif true_name == "SINGLE" and detected_name == "COLLIDED":
-        reg.counter(
-            MISDETECTIONS, "Detector errors by kind", labelnames=("kind",)
-        ).labels(kind="false_collision").inc()
-    STATE.tracer.event(
+        _misdetections_counter().labels(kind="false_collision").inc()
+    tracer = STATE.tracer
+    if tracer.discards:
+        return
+    tracer.event(
         "slot",
         index=record.index,
         frame=record.frame,
@@ -195,6 +206,60 @@ def record_slot(record) -> None:
         n_responders=record.n_responders,
         duration=record.duration,
     )
+
+
+def record_slots(records) -> None:
+    """Bulk :func:`record_slot` over consecutive records (one batched frame).
+
+    The increments are tallied first, keyed in first-occurrence order, and
+    then applied with one ``inc(n)`` per family and label combination, so
+    the registry gains the same families and children, in the same order
+    and with the same values, as one :func:`record_slot` call per record.
+    The ``slot`` events follow in slot order (none are built when the
+    tracer's sink discards them).  The branches mirror :func:`record_slot`'s; keep the two in step
+    (``tests/obs/test_reader_obs_paths.py`` pins them equal).
+    """
+    tally: dict[tuple[str, ...], int] = {}
+    get = tally.get
+    for record in records:
+        true_name = record.true_type.name
+        detected_name = record.detected_type.name
+        key = (SLOTS, true_name, detected_name)
+        tally[key] = get(key, 0) + 1
+        if record.identified_tag is not None:
+            tally[_IDENTIFIED_KEY] = get(_IDENTIFIED_KEY, 0) + 1
+        if record.lost_tags:
+            tally[_LOST_KEY] = get(_LOST_KEY, 0) + record.lost_tags
+        if record.captured:
+            tally[_CAPTURES_KEY] = get(_CAPTURES_KEY, 0) + 1
+        elif true_name == "COLLIDED" and detected_name == "SINGLE":
+            tally[_MISSED_KEY] = get(_MISSED_KEY, 0) + 1
+        elif true_name == "SINGLE" and detected_name == "COLLIDED":
+            tally[_FALSE_KEY] = get(_FALSE_KEY, 0) + 1
+    reg = STATE.registry
+    for key, n in tally.items():
+        name = key[0]
+        if name == SLOTS:
+            _slots_counter().labels(
+                true_type=key[1], detected_type=key[2]
+            ).inc(n)
+        elif name == MISDETECTIONS:
+            _misdetections_counter().labels(kind=key[1]).inc(n)
+        else:
+            reg.counter(name, _HELP[name]).inc(n)
+    tracer = STATE.tracer
+    if tracer.discards:
+        return
+    for record in records:
+        tracer.event(
+            "slot",
+            index=record.index,
+            frame=record.frame,
+            true_type=record.true_type.name,
+            detected_type=record.detected_type.name,
+            n_responders=record.n_responders,
+            duration=record.duration,
+        )
 
 
 def record_inventory(engine: str, frames: int, airtime: float) -> None:
@@ -240,11 +305,7 @@ def record_kernel_stats(engine: str, stats) -> None:
         )
     if missed:
         slots.labels(true_type="COLLIDED", detected_type="SINGLE").inc(missed)
-        reg.counter(
-            MISDETECTIONS, "Detector errors by kind", labelnames=("kind",)
-        ).labels(kind="missed_collision").inc(missed)
+        _misdetections_counter().labels(kind="missed_collision").inc(missed)
     if counts.single:
-        reg.counter(IDENTIFIED, "Tags successfully identified").inc(
-            counts.single
-        )
+        reg.counter(IDENTIFIED, _HELP[IDENTIFIED]).inc(counts.single)
     record_inventory(engine, stats.frames, stats.total_time)

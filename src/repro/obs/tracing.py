@@ -242,7 +242,14 @@ class Tracer:
     # -- events ---------------------------------------------------------
 
     def event(self, name: str, **attrs: object) -> None:
-        """Point-in-time record parented to the innermost open span."""
+        """Point-in-time record parented to the innermost open span.
+
+        Builds nothing when the sink :attr:`discards` records: per-slot
+        events dominate the enabled reader's tracing cost, and a dropped
+        record need not be assembled.
+        """
+        if self.discards:
+            return
         record: dict[str, object] = {
             "type": "event",
             "name": name,
@@ -259,6 +266,12 @@ class Tracer:
         self.sink.emit(record)
 
     # -- housekeeping ---------------------------------------------------
+
+    @property
+    def discards(self) -> bool:
+        """True when the sink drops every record (a :class:`NullSink`),
+        so hot callers may skip assembling event attributes at all."""
+        return type(self.sink) is NullSink
 
     @property
     def depth(self) -> int:

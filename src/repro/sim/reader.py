@@ -93,24 +93,29 @@ class Reader:
         uint64 superposition fast path: instead of composing per-tag
         :class:`BitVector` objects, each slot ORs packed ≤64-bit payloads
         (``np.bitwise_or.reduce``).  ``None`` (default) auto-selects: the
-        fast path runs whenever the detector and channel support it *and*
-        neither tracing nor invariant checking is enabled (both need the
-        composed object signal).  ``True`` requires support (ValueError
-        otherwise) but still yields to enabled instrumentation; ``False``
-        always uses the object path.  Verdicts, RNG streams, and channel
-        statistics are identical on both paths.
+        fast path runs whenever the detector and channel support it and
+        invariant checking is off (the checker needs the composed object
+        signal).  :mod:`repro.obs` does not force the object path: the
+        reader's metrics and trace read only the ``SlotRecord`` stream,
+        which is identical on every path.  ``True`` requires support
+        (ValueError otherwise) but still yields to invariant checking;
+        ``False`` always uses the object path.  Verdicts, RNG streams,
+        and channel statistics are identical on both paths.
     frame_batched:
         Frame-granular batching on top of the packed path: when the
         protocol exports its whole frame schedule
         (:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`),
         the reader superposes, classifies and timestamps every slot of
         the frame with numpy instead of looping slots in Python.  Subject
-        to the same gate as ``packed`` (so tracing/invariants, noisy
-        channels and unpacked detectors all fall back), and per-slot
-        fallback also covers tree protocols and any frame the protocol
-        declines to export.  ``False`` keeps the per-slot loop even when
-        batching is available (benchmarks and differential tests isolate
-        the tiers this way).  Traces are ``SlotRecord``-identical across
+        to the same gate as ``packed`` (so invariants, noisy channels and
+        unpacked detectors all fall back), and per-slot fallback also
+        covers tree protocols and any frame the protocol declines to
+        export.  Under :mod:`repro.obs` a batched frame opens the same
+        ``frame`` span and records its slots in one bulk
+        :func:`~repro.obs.instruments.record_slots` call.  ``False``
+        keeps the per-slot loop even when batching is available
+        (benchmarks and differential tests isolate the tiers this way).
+        Traces, counters and span/event sequences are identical across
         all three paths.
     """
 
@@ -156,14 +161,15 @@ class Reader:
     def _use_packed(self) -> bool:
         """Resolve the fast-path gate for one inventory.
 
-        Tracing and invariant checks observe the composed signal object,
-        so enabling either forces the object path regardless of
-        ``packed`` -- with identical slot verdicts, since both paths
-        consume the same RNG draws and compute the same superposition.
+        Invariant checks observe the composed signal object, so enabling
+        them forces the object path regardless of ``packed`` -- with
+        identical slot verdicts, since both paths consume the same RNG
+        draws and compute the same superposition.  Observability does
+        not: it reads only the ``SlotRecord`` stream.
         """
         if self.packed is False:
             return False
-        if _OBS.enabled or _INV.enabled:
+        if _INV.enabled:
             return False
         return self._packed_supported()
 
@@ -235,7 +241,7 @@ class Reader:
                 n_tags=len(tags),
             )
         # Frame-granular batching rides on the packed gate (which already
-        # excludes tracing, invariants, noise and capture); the protocol
+        # excludes invariants, noise and capture); the protocol
         # opts in per frame by exporting its schedule, so tree protocols
         # and mid-frame states fall back to the per-slot loop below.
         batch_frames = packed and self.frame_batched and protocol.framed
@@ -250,10 +256,17 @@ class Reader:
                             partition is not None
                             and index + len(partition) <= self.max_slots
                         ):
+                            if obs_on:
+                                current_frame = _enter_frame_span(
+                                    protocol, current_frame
+                                )
+                            first = len(trace)
                             time, index = self._run_frame(
                                 index, time, protocol, partition,
                                 identified, lost, trace,
                             )
+                            if obs_on:
+                                _inst.record_slots(trace[first:])
                             continue
                     if index >= self.max_slots:
                         raise RuntimeError(
@@ -262,12 +275,9 @@ class Reader:
                         )
                     responders = protocol.responders()
                     if obs_on:
-                        frame = max(1, protocol.frames_started)
-                        if frame != current_frame:
-                            if current_frame:
-                                _OBS.tracer.end_span()
-                            _OBS.tracer.start_span("frame", frame=frame)
-                            current_frame = frame
+                        current_frame = _enter_frame_span(
+                            protocol, current_frame
+                        )
                     time, record = self._run_slot(
                         index, time, protocol, responders, identified, lost,
                         packed,
@@ -525,6 +535,22 @@ class Reader:
         if _OBS.enabled:
             _inst.record_slot(record)
         return time, record
+
+
+def _enter_frame_span(
+    protocol: AntiCollisionProtocol, current_frame: int
+) -> int:
+    """Switch the open ``frame`` span to the protocol's current frame.
+
+    Closes the previous frame's span (if any) and opens the next one
+    when the frame number moved; returns the current frame number.
+    """
+    frame = max(1, protocol.frames_started)
+    if frame != current_frame:
+        if current_frame:
+            _OBS.tracer.end_span()
+        _OBS.tracer.start_span("frame", frame=frame)
+    return frame
 
 
 def _true_type(n_responders: int) -> SlotType:

@@ -24,6 +24,7 @@ from repro.gateway.client import (
 from repro.gateway.gateway import MAX_CONSECUTIVE_ERRORS
 from repro.gateway.readers import run_spec
 from repro.obs.state import STATE
+from repro.sim.metrics import slot_counts
 from repro.verify.strategies import malformed_binary_frames
 
 
@@ -291,8 +292,10 @@ class TestMetrics:
         )
         with gateway.client() as client:
             client.run_inventory(0, "fsa", "qcd-16", 16, 20, 1)
-        expected = len(run_spec(spec).identified_ids)
+        # Snapshot first: the direct run below shares the registry.
         registry = STATE.registry.to_dict()
+        direct = run_spec(spec)
+        expected = len(direct.identified_ids)
         in_counts = {
             s["labels"]["cmd"]: s["value"]
             for s in registry["repro_gateway_frames_in_total"]["samples"]
@@ -311,8 +314,18 @@ class TestMetrics:
         ]
         report_hist = registry["repro_gateway_report_seconds"]["samples"]
         assert report_hist[0]["count"] == expected
-        # The reader's own instrumentation ran under the same registry.
-        assert registry["repro_slots_total"]["samples"]
+        # The reader's own instrumentation ran under the same registry,
+        # and counted exactly the slots of the direct run's trace.
+        for label, detected in (("true_type", False), ("detected_type", True)):
+            truth = slot_counts(direct.trace, detected=detected)
+            counted = {"IDLE": 0, "SINGLE": 0, "COLLIDED": 0}
+            for sample in registry["repro_slots_total"]["samples"]:
+                counted[sample["labels"][label]] += sample["value"]
+            assert counted == {
+                "IDLE": truth.idle,
+                "SINGLE": truth.single,
+                "COLLIDED": truth.collided,
+            }
 
     def test_crc_failure_is_counted(self, gateway):
         data = bytearray(codec.encode_frame(codec.Keepalive()))

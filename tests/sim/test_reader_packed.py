@@ -5,7 +5,7 @@ The packed path replaces BitVector payloads with machine-word integers
 sum with ``np.bitwise_or.reduce`` -- but it must be *observationally
 identical*: same RNG consumption, same slot verdicts, same stats, same
 channel accounting.  These tests pin that equivalence and the gating
-rules (tracing or invariant checking forces the object path).
+rules (invariant checking forces the object path; tracing does not).
 """
 
 from __future__ import annotations
@@ -96,12 +96,18 @@ class TestGating:
         )
         assert not reader._use_packed()
 
-    def test_tracing_forces_object_path(self, timing):
+    def test_tracing_keeps_packed_path(self, timing):
+        """Observability reads only the SlotRecord stream, so enabling it
+        leaves the fast path on (tests/obs/test_reader_obs_paths.py pins
+        that every tier then traces and counts identically)."""
         obs.enable()
         try:
-            assert not Reader(QCDDetector(8), timing)._use_packed()
+            assert Reader(QCDDetector(8), timing)._use_packed()
+            with invariants.checking():
+                assert not Reader(QCDDetector(8), timing)._use_packed()
         finally:
             obs.disable()
+            invariants.reset()
 
     def test_invariants_force_object_path(self, timing):
         with invariants.checking():
@@ -122,15 +128,19 @@ class TestGating:
                 packed=True,
             )
 
-    def test_packed_true_still_yields_to_tracing(self, timing):
-        """Explicit ``packed=True`` must not silently skip tracing --
-        enabled instrumentation wins, with identical verdicts either way."""
+    def test_packed_true_yields_only_to_invariants(self, timing):
+        """Explicit ``packed=True`` must not silently skip invariant
+        checks -- they win, with identical verdicts either way -- while
+        tracing alone keeps the fast path."""
         reader = Reader(QCDDetector(8), timing, packed=True)
         obs.enable()
         try:
-            assert not reader._use_packed()
+            assert reader._use_packed()
         finally:
             obs.disable()
+        with invariants.checking():
+            assert not reader._use_packed()
+        invariants.reset()
         assert reader._use_packed()
 
     def test_verdicts_survive_gate_flip(self, timing):
