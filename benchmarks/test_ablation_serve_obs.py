@@ -104,8 +104,9 @@ _REQUEST = proto.parse_simulate_request(
 def _bookkeeping_once(recent: list) -> None:
     """Every observability operation one disabled-mode request pays.
 
-    Mirrors the obs-specific additions in ``ServeApp._handle_connection``
-    / ``WorkerPool._process``: id generation + validation, the enabled
+    Mirrors the obs-specific additions in the shared request pipeline
+    (``repro.serve.http1.HttpService._handle_connection``) and
+    ``WorkerPool._process``: id generation + validation, the enabled
     branch, the context binding around dispatch, the response-header id
     lookup, one point's worth of stage attribution, and the
     ``_finish_request`` ring entry.

@@ -21,8 +21,10 @@ mismatched or stale-schema entries read as misses, never as errors.
 The temp-file name is unique per *call* (pid + per-process counter), not
 just per process, so two threads storing the same key concurrently can
 never clobber each other's half-written temp file; a crashed writer's
-orphaned ``*.tmp.*`` files are swept on the next cache open (only ones
-old enough that no live writer can still own them).
+orphaned ``*.tmp.*`` files are swept when a process first opens the
+directory (only ones old enough that no live writer can still own them).
+Later opens of the same directory by that process skip the sweep, so
+opening a cache costs no directory scan however many entries it holds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import hashlib
 import itertools
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Mapping
@@ -52,6 +55,11 @@ STALE_TMP_SECONDS = 3600.0
 #: Per-process monotonic id: combined with the pid it makes every store()
 #: call's temp file unique, even across threads racing on one key.
 _TMP_IDS = itertools.count()
+
+#: Resolved cache roots this process has already swept for orphaned
+#: temp files (suites open caches from several threads at once).
+_SWEPT_ROOTS: set[Path] = set()
+_SWEPT_LOCK = threading.Lock()
 
 #: Bump when the cached payload's meaning changes (new AggregateStats
 #: fields, different aggregation semantics, ...); every existing entry
@@ -112,7 +120,12 @@ class ResultCache:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._sweep_orphaned_tmp()
+        resolved = self.root.resolve()
+        with _SWEPT_LOCK:
+            first_open = resolved not in _SWEPT_ROOTS
+            _SWEPT_ROOTS.add(resolved)
+        if first_open:
+            self._sweep_orphaned_tmp()
 
     def _sweep_orphaned_tmp(self, max_age_s: float = STALE_TMP_SECONDS) -> int:
         """Delete ``*.tmp.*`` files older than ``max_age_s``; return count.

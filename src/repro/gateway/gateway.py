@@ -40,20 +40,19 @@ from __future__ import annotations
 import argparse
 import asyncio
 import secrets
-import signal
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro import obs
 from repro.obs import context as _ctx
 from repro.obs import instruments as _inst
 from repro.obs.state import STATE as _OBS
-from repro.obs.tracing import JsonlSink, NullSink, Tracer
+from repro.obs.tracing import Tracer
 from repro.gateway import codec
 from repro.gateway import readers as sim_readers
+from repro.serve.lifecycle import Service, add_service_args, run_main, settle
 
 __all__ = [
     "GatewayConfig",
@@ -179,37 +178,25 @@ class _Connection:
                 broken = True
 
 
-class GatewayApp:
+class GatewayApp(Service):
     """The wired gateway: listener -> connections -> reader sessions."""
 
+    prog = "repro-gateway"
+
     def __init__(self, config: GatewayConfig | None = None) -> None:
-        self.config = config if config is not None else GatewayConfig()
+        super().__init__(config if config is not None else GatewayConfig())
         self.readers = [
             sim_readers.SimulatedReader(i) for i in range(self.config.readers)
         ]
-        self.draining = False
-        self.started_s = time.monotonic()
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._closed = asyncio.Event()
-        self._drain_task: asyncio.Task | None = None
-        self._handlers: set[asyncio.Task] = set()
         self._session_tasks: set[asyncio.Task] = set()
         self._connections: set[_Connection] = set()
         self._sessions: dict[int, _Session] = {}
         self._session_seq = 0
-        self._trace_sink: JsonlSink | None = None
 
-    # -- lifecycle ------------------------------------------------------
+    # -- lifecycle hooks ------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listener; pre-register the zero-valued metrics."""
-        if self.config.obs_enabled:
-            if self.config.trace_out:
-                self._trace_sink = JsonlSink(self.config.trace_out)
-                obs.enable(sink=self._trace_sink)
-            else:
-                obs.enable()
+    async def _prepare(self) -> None:
+        """Pre-register the zero-valued metrics."""
         if _OBS.enabled:
             # Pre-register so a clean run's snapshot *shows* the zeros
             # (the CI smoke job asserts crc_failures == 0, which must be
@@ -222,66 +209,17 @@ class GatewayApp:
             reg.gauge(
                 _inst.GATEWAY_CONNECTIONS, "Open gateway connections"
             ).set(0)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
 
-    async def wait_closed(self) -> None:
-        await self._closed.wait()
+    async def _finish_work(self, grace_s: float) -> None:
+        """Running inventories finish streaming.  Connections carry no
+        request of their own, so the drain then cuts them all."""
+        await settle(self._session_tasks, grace_s)
 
-    def begin_drain(self) -> None:
-        """Refuse new inventories, finish running ones, then exit.
-
-        Idempotent; safe to call from a signal handler on the loop.
-        """
-        if self._drain_task is not None:
-            return
-        self.draining = True
-        self._drain_task = asyncio.get_running_loop().create_task(
-            self._drain()
-        )
-
-    async def _drain(self) -> None:
-        grace = self.config.drain_grace_s
-        # 1. Let running inventories finish streaming.
-        if self._session_tasks:
-            _done, pending = await asyncio.wait(
-                set(self._session_tasks), timeout=grace
-            )
-            for task in pending:  # pathological sessions
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        # 2. Give clients a beat to read the tail, then cut idle
-        #    connections loose.
-        for conn in list(self._connections):
-            conn.abort()
-        if self._handlers:
-            _done, pending = await asyncio.wait(
-                set(self._handlers), timeout=grace
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _release(self, grace_s: float) -> None:
         if self.config.metrics_out and _OBS.enabled:
             Path(self.config.metrics_out).write_text(
                 _OBS.registry.to_json() + "\n"
             )
-        if self._trace_sink is not None:
-            if _OBS.tracer.sink is self._trace_sink:
-                _OBS.tracer = Tracer(NullSink())
-            self._trace_sink.close()
-        self._closed.set()
-
-    async def aclose(self) -> None:
-        """Drain and wait until fully closed (test/embedding helper)."""
-        self.begin_drain()
-        await self.wait_closed()
 
     def drop_connections(self) -> int:
         """Abort every open connection (fault injection for the
@@ -302,10 +240,6 @@ class GatewayApp:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
         conn = _Connection(writer, self.config.outbox_frames)
         self._connections.add(conn)
         self._set_conn_gauge()
@@ -621,7 +555,7 @@ class GatewayApp:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-gateway",
+        prog=GatewayApp.prog,
         description=(
             "Expose a fleet of simulated RFID readers over the binary "
             "frame protocol (see docs/GATEWAY.md).  Clients start real "
@@ -630,13 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cfg = GatewayConfig()
-    parser.add_argument("--host", default=cfg.host)
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=cfg.port,
-        help=f"TCP port; 0 picks a free one (default {cfg.port})",
-    )
+    add_service_args(parser, cfg)
     parser.add_argument(
         "--readers",
         type=int,
@@ -660,76 +588,18 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {cfg.outbox_frames})",
     )
     parser.add_argument(
-        "--drain-grace",
-        type=float,
-        default=cfg.drain_grace_s,
-        metavar="SECONDS",
-        dest="drain_grace_s",
-        help="max seconds to wait for running inventories on SIGTERM "
-        f"(default {cfg.drain_grace_s:.0f})",
-    )
-    parser.add_argument(
         "--metrics-out",
-        type=Path,
         default=None,
         metavar="PATH",
         dest="metrics_out",
         help="write the metrics registry as JSON to PATH at drain",
     )
-    parser.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        dest="trace_out",
-        help="append span/event trace records as JSONL to PATH",
-    )
-    parser.add_argument(
-        "--no-obs",
-        action="store_false",
-        dest="obs_enabled",
-        help="disable metrics and tracing entirely",
-    )
     return parser
 
 
-async def _amain(config: GatewayConfig) -> int:
-    app = GatewayApp(config)
-    await app.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, app.begin_drain)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
-    print(
-        f"repro-gateway listening on {config.host}:{app.port} "
-        f"(readers={config.readers})",
-        flush=True,
-    )
-    await app.wait_closed()
-    print("repro-gateway drained; exiting", flush=True)
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = GatewayConfig(
-        host=args.host,
-        port=args.port,
-        readers=args.readers,
-        keepalive_s=args.keepalive_s,
-        outbox_frames=args.outbox_frames,
-        drain_grace_s=args.drain_grace_s,
-        metrics_out=str(args.metrics_out) if args.metrics_out else None,
-        trace_out=str(args.trace_out) if args.trace_out else None,
-        obs_enabled=args.obs_enabled,
-    )
-    obs.reset()
-    try:
-        return asyncio.run(_amain(config))
-    except KeyboardInterrupt:  # pragma: no cover - double ^C
-        return 130
+    config = GatewayConfig(**vars(build_parser().parse_args(argv)))
+    return run_main(GatewayApp(config), f"readers={config.readers}")
 
 
 if __name__ == "__main__":

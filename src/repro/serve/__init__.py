@@ -22,11 +22,14 @@ Retry-After-aware backoff) and :mod:`repro.serve.loadgen` (open-loop
 load generator behind the ``BENCH_serve`` baseline).
 
 Above the single process sits the fleet tier: :mod:`repro.serve.http1`
-(the shared HTTP/1.1 transport), :mod:`repro.serve.ring` (consistent
-hashing), :mod:`repro.serve.backend` (subprocess supervision and health
-probing) and :mod:`repro.serve.router` (``repro-serve-router``), which
+(the shared HTTP/1.1 transport and request pipeline),
+:mod:`repro.serve.ring` (consistent hashing), :mod:`repro.serve.backend`
+(subprocess supervision and health probing) and
+:mod:`repro.serve.router` (``repro-serve-router``), which
 consistent-hashes every grid point onto N backends so coalescing and the
 memo/L2 cache tiers become fleet-wide guarantees.
+:mod:`repro.serve.lifecycle` is the start/drain skeleton the server, the
+router and ``repro-gateway`` share.
 
 Run the server with ``repro-serve`` or ``python -m repro.serve`` and the
 fleet with ``repro-serve-router``; see ``docs/SERVING.md`` for the API
@@ -46,6 +49,7 @@ _SUBMODULES = (
     "client",
     "coalesce",
     "http1",
+    "lifecycle",
     "loadgen",
     "protocol",
     "queue",

@@ -29,6 +29,7 @@ their cross product is the job's grid-point list.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -59,6 +60,7 @@ __all__ = [
     "GridPoint",
     "SimulateRequest",
     "parse_simulate_request",
+    "parse_simulate_body",
     "parse_case",
     "parse_scheme",
     "error_envelope",
@@ -442,6 +444,17 @@ def parse_simulate_request(doc: object) -> SimulateRequest:
         client=client,
         version=version,
     )
+
+
+def parse_simulate_body(body: bytes) -> SimulateRequest:
+    """:func:`parse_simulate_request` over raw request-body bytes."""
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        raise ProtocolError(
+            "invalid_request", "request body is not valid JSON"
+        ) from None
+    return parse_simulate_request(doc)
 
 
 # ----------------------------------------------------------------------

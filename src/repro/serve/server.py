@@ -44,23 +44,20 @@ import argparse
 import asyncio
 import json
 import logging
-import signal
 import sys
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
-from repro import obs
-from repro.obs import context as _ctx
 from repro.obs import instruments as _inst
 from repro.obs.state import STATE as _OBS
-from repro.obs.tracing import JsonlSink, NullSink, Tracer
 from repro.sim.export import nan_to_none
 from repro.serve import http1
 from repro.serve import protocol as proto
 from repro.serve.coalesce import Coalescer
+from repro.serve.http1 import HttpRequest, RequestScope, Route
+from repro.serve.lifecycle import add_service_args, run_main
 from repro.serve.queue import AdmissionError, AdmissionQueue, QueueClosed
 from repro.serve.workers import (
     JOB_DONE,
@@ -72,11 +69,6 @@ from repro.serve.workers import (
 )
 
 __all__ = ["ServeConfig", "ServeApp", "main", "build_parser"]
-
-#: The HTTP wire plumbing (parsing limits, read timeout, response
-#: framing) lives in :mod:`repro.serve.http1`, shared with the fleet
-#: router so the two hops cannot drift.
-REQUEST_READ_TIMEOUT = http1.REQUEST_READ_TIMEOUT
 
 #: Finished jobs kept for late ``GET /v1/jobs/<id>`` readers.
 FINISHED_JOB_BACKLOG = 1024
@@ -90,24 +82,6 @@ RECENT_SLOWEST = 16
 #: ``logging``).  ``--access-log`` attaches a stderr handler; embedders
 #: and tests attach their own handler to this logger instead.
 _ACCESS_LOG = logging.getLogger("repro.serve.access")
-
-_HttpError = http1.HttpError
-_HttpRequest = http1.HttpRequest
-
-
-@dataclass
-class _RequestScope:
-    """Per-request observability state threaded through dispatch.
-
-    ``tracer``/``root_span_id`` anchor the request's span tree;
-    ``access`` accumulates the fields the access-log line and the
-    slow-request ring report after the response is sent.
-    """
-
-    request_id: str
-    tracer: Tracer | None = None
-    root_span_id: int | None = None
-    access: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -128,11 +102,14 @@ class ServeConfig:
     obs_enabled: bool = True  # --no-obs: skip metrics/tracing entirely
 
 
-class ServeApp:
+class ServeApp(http1.HttpService):
     """The wired service: queue -> coalescer -> engine -> workers + HTTP."""
 
+    prog = "repro-serve"
+    span_name = "serve.request"
+
     def __init__(self, config: ServeConfig | None = None) -> None:
-        self.config = config if config is not None else ServeConfig()
+        super().__init__(config if config is not None else ServeConfig())
         self.queue = AdmissionQueue(
             capacity=self.config.queue_capacity,
             per_client=self.config.per_client,
@@ -154,214 +131,61 @@ class ServeApp:
             concurrency=self.config.concurrency,
         )
         self.jobs: OrderedDict[str, Job] = OrderedDict()
-        self.draining = False
-        self.started_s = time.monotonic()
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._closed = asyncio.Event()
-        self._drain_task: asyncio.Task | None = None
-        self._handlers: set[asyncio.Task] = set()
         #: Last ``RECENT_REQUESTS`` completed requests; ``/debugz``
         #: reports the slowest of them.  Event-loop only.
         self._recent: deque[dict] = deque(maxlen=RECENT_REQUESTS)
-        self._trace_sink: JsonlSink | None = None
+        self.routes = [
+            Route("healthz", "GET", "/healthz", self._handle_healthz),
+            Route("debugz", "GET", "/debugz", self._handle_debugz),
+            Route("metrics", "GET", "/metrics", self._handle_metrics),
+            Route("simulate", "POST", "/v1/simulate", self._handle_simulate),
+            Route("jobs", "GET", "/v1/jobs/", self._handle_job_stream),
+        ]
 
-    # -- lifecycle ------------------------------------------------------
+    # -- lifecycle hooks ------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listener and start the worker pool."""
-        if self.config.obs_enabled:
-            if self.config.trace_out:
-                self._trace_sink = JsonlSink(self.config.trace_out)
-                obs.enable(sink=self._trace_sink)
-            else:
-                obs.enable()
+    async def _prepare(self) -> None:
         if self.config.access_log and not _ACCESS_LOG.handlers:
             handler = logging.StreamHandler(sys.stderr)
             handler.setFormatter(logging.Formatter("%(message)s"))
             _ACCESS_LOG.addHandler(handler)
             _ACCESS_LOG.setLevel(logging.INFO)
         await self.pool.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
 
-    async def wait_closed(self) -> None:
-        await self._closed.wait()
-
-    def begin_drain(self) -> None:
-        """Stop admitting work; finish what is queued/in flight; exit.
-
-        Idempotent; safe to call from a signal handler on the loop.
-        """
-        if self._drain_task is not None:
-            return
-        self.draining = True
+    async def _finish_work(self, grace_s: float) -> None:
+        """Stop admitting; every queued and in-flight job completes."""
         self.queue.close()
-        self._drain_task = asyncio.get_running_loop().create_task(
-            self._drain()
-        )
-
-    async def _drain(self) -> None:
         try:
-            await asyncio.wait_for(
-                self.pool.join(), timeout=self.config.drain_grace_s
-            )
+            await asyncio.wait_for(self.pool.join(), timeout=grace_s)
         except asyncio.TimeoutError:  # pragma: no cover - pathological jobs
             await self.pool.abort()
-        # Workers are done, so every admitted job has finished; give the
-        # open response streams a beat to flush, then drop the listener.
-        if self._handlers:
-            _done, pending = await asyncio.wait(
-                self._handlers, timeout=self.config.drain_grace_s
-            )
-            for task in pending:  # stragglers holding idle connections
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+
+    async def _release(self, grace_s: float) -> None:
         self.engine.close()
-        if self._trace_sink is not None:
-            # Detach before closing so a late emit from shared obs state
-            # cannot hit a closed file handle.
-            if _OBS.tracer.sink is self._trace_sink:
-                _OBS.tracer = Tracer(NullSink())
-            self._trace_sink.close()
-        self._closed.set()
 
-    async def aclose(self) -> None:
-        """Drain and wait until fully closed (test/embedding helper)."""
-        self.begin_drain()
-        await self.wait_closed()
-
-    # -- HTTP plumbing --------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        t0 = time.perf_counter()
-        route = "unmatched"
-        status = 500
-        request: _HttpRequest | None = None
-        scope = _RequestScope(request_id=_ctx.new_request_id())
-        try:
-            try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader), timeout=REQUEST_READ_TIMEOUT
-                )
-            except asyncio.TimeoutError:
-                status = 408
-                with _ctx.bound_context(request_id=scope.request_id):
-                    await self._send_json(
-                        writer,
-                        408,
-                        proto.error_envelope(
-                            proto.ProtocolError(
-                                "invalid_request",
-                                "timed out waiting for the request",
-                            ),
-                            request_id=scope.request_id,
-                        ),
-                    )
-                return
-            except _HttpError as exc:
-                status = exc.status
-                err = proto.ProtocolError(
-                    "invalid_request"
-                    if exc.status < 500
-                    else "internal",
-                    str(exc),
-                )
-                with _ctx.bound_context(request_id=scope.request_id):
-                    await self._send_json(
-                        writer,
-                        exc.status,
-                        proto.error_envelope(
-                            err, request_id=scope.request_id
-                        ),
-                    )
-                return
-            # Honor a well-formed client-supplied X-Request-Id (retries
-            # keep one logical request one trace); generate otherwise.
-            supplied = request.headers.get("x-request-id")
-            if proto.valid_request_id(supplied):
-                scope.request_id = supplied
-            if _OBS.enabled:
-                scope.tracer = Tracer(
-                    _OBS.tracer.sink, trace_id=scope.request_id
-                )
-            with _ctx.bound_context(
-                tracer=scope.tracer, request_id=scope.request_id
-            ):
-                if scope.tracer is not None:
-                    scope.root_span_id = scope.tracer.start_span(
-                        "serve.request",
-                        method=request.method,
-                        path=request.path,
-                    )
-                try:
-                    route, status = await self._dispatch(
-                        request, writer, scope
-                    )
-                finally:
-                    if scope.tracer is not None:
-                        scope.tracer.end_span(route=route, status=status)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            status = 0  # client went away; nothing to send
-        except Exception as exc:  # last-resort 500, never a crash
-            status = 500
-            try:
-                with _ctx.bound_context(request_id=scope.request_id):
-                    await self._send_json(
-                        writer,
-                        500,
-                        proto.error_envelope(
-                            proto.ProtocolError(
-                                "internal", f"{type(exc).__name__}: {exc}"
-                            ),
-                            request_id=scope.request_id,
-                        ),
-                    )
-            except ConnectionError:  # pragma: no cover
-                pass
-        finally:
-            elapsed = time.perf_counter() - t0
-            if _OBS.enabled and status:
-                reg = _OBS.registry
-                reg.counter(
-                    _inst.SERVE_REQUESTS,
-                    "HTTP requests served, by route and status",
-                    labelnames=("route", "status"),
-                ).labels(route=route, status=status).inc()
-                reg.histogram(
-                    _inst.SERVE_REQUEST_SECONDS,
-                    "Wall time per HTTP request",
-                    labelnames=("route",),
-                ).labels(route=route).observe(elapsed)
-            if status:
-                self._finish_request(scope, request, route, status, elapsed)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+    # -- per-request bookkeeping ----------------------------------------
 
     def _finish_request(
         self,
-        scope: _RequestScope,
-        request: _HttpRequest | None,
+        scope: RequestScope,
+        request: HttpRequest | None,
         route: str,
         status: int,
         elapsed: float,
     ) -> None:
-        """Post-response bookkeeping: access-log line + slow ring."""
+        """Metrics, the slow-request ring and the access-log line."""
+        if _OBS.enabled:
+            reg = _OBS.registry
+            reg.counter(
+                _inst.SERVE_REQUESTS,
+                "HTTP requests served, by route and status",
+                labelnames=("route", "status"),
+            ).labels(route=route, status=status).inc()
+            reg.histogram(
+                _inst.SERVE_REQUEST_SECONDS,
+                "Wall time per HTTP request",
+                labelnames=("route",),
+            ).labels(route=route).observe(elapsed)
         entry = {
             "request_id": scope.request_id,
             "route": route,
@@ -398,111 +222,25 @@ class ServeApp:
             )
         )
 
-    async def _read_request(self, reader: asyncio.StreamReader) -> _HttpRequest:
-        return await http1.read_request(reader)
-
-    async def _send_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        content_type: str,
-        payload: bytes,
-        extra_headers: Sequence[tuple[str, str]] = (),
-    ) -> None:
-        await http1.send_response(
-            writer, status, content_type, payload, extra_headers
-        )
-
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        doc: dict,
-        extra_headers: Sequence[tuple[str, str]] = (),
-    ) -> None:
-        await http1.send_json(writer, status, doc, extra_headers)
-
     async def _send_error(
         self, writer: asyncio.StreamWriter, exc: proto.ProtocolError
     ) -> int:
-        headers: list[tuple[str, str]] = []
-        if exc.retry_after_s is not None:
-            headers.append(
-                ("Retry-After", str(max(1, round(exc.retry_after_s))))
-            )
         if _OBS.enabled and exc.code in ("overloaded", "draining"):
             _OBS.registry.counter(
                 _inst.SERVE_REJECTS,
                 "Admission rejections, by reason",
                 labelnames=("reason",),
             ).labels(reason=getattr(exc, "reject_reason", exc.code)).inc()
-        await self._send_json(
-            writer,
-            exc.status,
-            proto.error_envelope(exc, request_id=_ctx.current_request_id()),
-            headers,
-        )
-        return exc.status
-
-    # -- routing --------------------------------------------------------
-
-    async def _dispatch(
-        self,
-        request: _HttpRequest,
-        writer: asyncio.StreamWriter,
-        scope: _RequestScope,
-    ) -> tuple[str, int]:
-        """Returns ``(route label, status)`` for the metrics."""
-        path = request.path
-        if path == "/healthz":
-            if request.method != "GET":
-                return "healthz", await self._method_not_allowed(writer, "GET")
-            return "healthz", await self._handle_healthz(writer)
-        if path == "/debugz":
-            if request.method != "GET":
-                return "debugz", await self._method_not_allowed(writer, "GET")
-            return "debugz", await self._handle_debugz(writer)
-        if path == "/metrics":
-            if request.method != "GET":
-                return "metrics", await self._method_not_allowed(writer, "GET")
-            return "metrics", await self._handle_metrics(writer)
-        if path == "/v1/simulate":
-            if request.method != "POST":
-                return "simulate", await self._method_not_allowed(
-                    writer, "POST"
-                )
-            return "simulate", await self._handle_simulate(
-                request, writer, scope
-            )
-        if path.startswith("/v1/jobs/"):
-            if request.method != "GET":
-                return "jobs", await self._method_not_allowed(writer, "GET")
-            job_id = path[len("/v1/jobs/"):]
-            return "jobs", await self._handle_job_stream(
-                job_id, writer, scope
-            )
-        return "unmatched", await self._send_error(
-            writer,
-            proto.ProtocolError("not_found", f"no route for {path}"),
-        )
-
-    async def _method_not_allowed(
-        self, writer: asyncio.StreamWriter, allowed: str
-    ) -> int:
-        exc = proto.ProtocolError(
-            "method_not_allowed", f"only {allowed} is allowed here"
-        )
-        await self._send_json(
-            writer,
-            exc.status,
-            proto.error_envelope(exc, request_id=_ctx.current_request_id()),
-            [("Allow", allowed)],
-        )
-        return exc.status
+        return await http1.send_error(writer, exc)
 
     # -- endpoints ------------------------------------------------------
 
-    async def _handle_healthz(self, writer: asyncio.StreamWriter) -> int:
+    async def _handle_healthz(
+        self,
+        request: HttpRequest,
+        writer: asyncio.StreamWriter,
+        scope: RequestScope,
+    ) -> int:
         doc = {
             "status": "draining" if self.draining else "ok",
             "uptime_s": round(time.monotonic() - self.started_s, 3),
@@ -512,10 +250,15 @@ class ServeApp:
             "jobs": len(self.jobs),
             "protocol_version": proto.PROTOCOL_VERSION,
         }
-        await self._send_json(writer, 200, doc)
+        await http1.send_json(writer, 200, doc)
         return 200
 
-    async def _handle_debugz(self, writer: asyncio.StreamWriter) -> int:
+    async def _handle_debugz(
+        self,
+        request: HttpRequest,
+        writer: asyncio.StreamWriter,
+        scope: RequestScope,
+    ) -> int:
         """Live introspection: queue, in-flight, coalesce table, jobs,
         and the slowest recent requests.  Everything is a snapshot taken
         on the event loop, so the document is internally consistent."""
@@ -536,50 +279,28 @@ class ServeApp:
                 reverse=True,
             )[:RECENT_SLOWEST],
         }
-        await self._send_json(writer, 200, doc)
+        await http1.send_json(writer, 200, doc)
         return 200
 
-    async def _handle_metrics(self, writer: asyncio.StreamWriter) -> int:
-        text = _OBS.registry.to_prometheus()
-        await self._send_response(
-            writer,
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            text.encode("utf-8"),
+    def _draining_error(self) -> proto.ProtocolError:
+        return proto.ProtocolError(
+            "draining",
+            "server is draining; retry against a healthy instance",
+            retry_after_s=self.config.drain_grace_s,
         )
-        return 200
 
     async def _handle_simulate(
         self,
-        request: _HttpRequest,
+        request: HttpRequest,
         writer: asyncio.StreamWriter,
-        scope: _RequestScope,
+        scope: RequestScope,
     ) -> int:
-        try:
-            doc = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return await self._send_error(
-                writer,
-                proto.ProtocolError(
-                    "invalid_request", "request body is not valid JSON"
-                ),
-            )
-        try:
-            sim = proto.parse_simulate_request(doc)
-        except proto.ProtocolError as exc:
-            return await self._send_error(writer, exc)
+        sim = proto.parse_simulate_body(request.body)
         scope.access["client"] = sim.client
         scope.access["priority"] = sim.priority
         scope.access["mode"] = sim.mode
         if self.draining:
-            return await self._send_error(
-                writer,
-                proto.ProtocolError(
-                    "draining",
-                    "server is draining; retry against a healthy instance",
-                    retry_after_s=self.config.drain_grace_s,
-                ),
-            )
+            raise self._draining_error()
         job = Job(sim, request_id=scope.request_id)
         job.root_span_id = scope.root_span_id
         scope.access["job_id"] = job.id
@@ -592,14 +313,7 @@ class ServeApp:
                 items, client=sim.client, priority=sim.priority
             )
         except QueueClosed:
-            return await self._send_error(
-                writer,
-                proto.ProtocolError(
-                    "draining",
-                    "server is draining; retry against a healthy instance",
-                    retry_after_s=self.config.drain_grace_s,
-                ),
-            )
+            raise self._draining_error()
         except AdmissionError as exc:
             # The queue computed the hint at rejection time from its own
             # depth and the engine's live service-time EWMA.
@@ -611,14 +325,14 @@ class ServeApp:
                 if "quota" in str(exc)
                 else "queue_full"
             )
-            return await self._send_error(writer, err)
+            raise err
         self._remember_job(job)
         if _OBS.enabled:
             _OBS.registry.gauge(
                 _inst.SERVE_QUEUE_DEPTH, "Grid points awaiting a worker"
             ).set(self.queue.depth())
         if sim.mode == "async":
-            await self._send_json(
+            await http1.send_json(
                 writer,
                 202,
                 proto.job_envelope(
@@ -634,12 +348,7 @@ class ServeApp:
         scope.access["stages_s"] = job.stage_s
         scope.access["coalesce"] = job.source_counts
         if job.state != JOB_DONE:
-            return await self._send_error(
-                writer,
-                proto.ProtocolError(
-                    "internal", job.error or "job failed"
-                ),
-            )
+            raise proto.ProtocolError("internal", job.error or "job failed")
         results = [
             proto.result_line(r.point, r.stats, r.source)
             for r in job.results
@@ -651,7 +360,7 @@ class ServeApp:
             scope.tracer.start_span("serve.stream", mode="sync")
         try:
             timing = proto.server_timing_value(job.stage_s)
-            await self._send_json(
+            await http1.send_json(
                 writer,
                 200,
                 proto.sync_response(
@@ -683,41 +392,26 @@ class ServeApp:
                 break
 
     async def _handle_job_stream(
-        self, job_id: str, writer: asyncio.StreamWriter, scope: _RequestScope
+        self,
+        request: HttpRequest,
+        writer: asyncio.StreamWriter,
+        scope: RequestScope,
     ) -> int:
+        job_id = request.path[len("/v1/jobs/"):]
         job = self.jobs.get(job_id)
         if job is None:
-            return await self._send_error(
-                writer,
-                proto.ProtocolError(
-                    "not_found", f"no job {job_id!r} on this server"
-                ),
+            raise proto.ProtocolError(
+                "not_found", f"no job {job_id!r} on this server"
             )
         scope.access["client"] = job.request.client
         scope.access["job_id"] = job.id
         # EOF-delimited NDJSON: no Content-Length, Connection: close.
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Cache-Control: no-store\r\n"
-            f"{proto.REQUEST_ID_HEADER}: {scope.request_id}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-
-        def line(doc: dict) -> bytes:
-            return (
-                json.dumps(
-                    nan_to_none(doc), allow_nan=False, separators=(",", ":")
-                )
-                + "\n"
-            ).encode("utf-8")
-
+        writer.write(http1.ndjson_head(scope.request_id))
         # The header line carries the *admitting* request's id, joining
         # an async job's NDJSON output to the trace of the POST that
         # created it (this GET has its own id, echoed in the header).
         writer.write(
-            line(
+            http1.json_payload(
                 proto.job_envelope(
                     job.id,
                     job.state,
@@ -734,7 +428,7 @@ class ServeApp:
         try:
             async for result in job.stream():
                 writer.write(
-                    line(
+                    http1.json_payload(
                         proto.result_line(
                             result.point, result.stats, result.source
                         )
@@ -742,7 +436,7 @@ class ServeApp:
                 )
                 await writer.drain()
             writer.write(
-                line(
+                http1.json_payload(
                     proto.done_line(
                         job.id, job.state, round(job.elapsed_s, 6), job.error
                     )
@@ -763,7 +457,7 @@ class ServeApp:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog=ServeApp.prog,
         description=(
             "Serve the paper's QCD-vs-CRC-CD simulation grid over HTTP "
             "with admission control, request coalescing and NDJSON "
@@ -771,13 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     cfg = ServeConfig()
-    parser.add_argument("--host", default=cfg.host)
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=cfg.port,
-        help=f"TCP port; 0 picks a free one (default {cfg.port})",
-    )
+    add_service_args(parser, cfg)
     parser.add_argument(
         "--concurrency",
         type=int,
@@ -808,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir",
-        type=Path,
         default=None,
         help="on-disk result-cache directory shared by all requests",
     )
@@ -822,81 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments and drain tests; default 0)",
     )
     parser.add_argument(
-        "--drain-grace",
-        type=float,
-        default=cfg.drain_grace_s,
-        metavar="SECONDS",
-        dest="drain_grace_s",
-        help="max seconds to wait for in-flight work on SIGTERM "
-        f"(default {cfg.drain_grace_s:.0f})",
-    )
-    parser.add_argument(
         "--access-log",
         action="store_true",
         dest="access_log",
         help="emit one structured JSON access-log line per request "
         "to stderr",
     )
-    parser.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        dest="trace_out",
-        help="append span/event trace records as JSONL to PATH "
-        "(analyze offline with 'repro-obs-report serve')",
-    )
-    parser.add_argument(
-        "--no-obs",
-        action="store_false",
-        dest="obs_enabled",
-        help="disable metrics and tracing entirely (the <5%% overhead "
-        "ablation baseline; /metrics renders empty)",
-    )
     return parser
 
 
-async def _amain(config: ServeConfig) -> int:
-    app = ServeApp(config)
-    await app.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, app.begin_drain)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
-    print(
-        f"repro-serve listening on {config.host}:{app.port} "
-        f"(concurrency={config.concurrency}, "
-        f"queue={config.queue_capacity}, mc-workers={config.mc_workers})",
-        flush=True,
-    )
-    await app.wait_closed()
-    print("repro-serve drained; exiting", flush=True)
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        concurrency=args.concurrency,
-        queue_capacity=args.queue_capacity,
-        per_client=args.per_client,
-        mc_workers=args.mc_workers,
-        cache_dir=str(args.cache_dir) if args.cache_dir else None,
-        compute_floor_s=args.compute_floor_s,
-        drain_grace_s=args.drain_grace_s,
-        access_log=args.access_log,
-        trace_out=str(args.trace_out) if args.trace_out else None,
-        obs_enabled=args.obs_enabled,
+    config = ServeConfig(**vars(build_parser().parse_args(argv)))
+    return run_main(
+        ServeApp(config),
+        f"concurrency={config.concurrency}, "
+        f"queue={config.queue_capacity}, mc-workers={config.mc_workers}",
     )
-    obs.reset()
-    try:
-        return asyncio.run(_amain(config))
-    except KeyboardInterrupt:  # pragma: no cover - double ^C
-        return 130
 
 
 if __name__ == "__main__":

@@ -267,6 +267,37 @@ class TestSimulationEngine:
         finally:
             fresh.close()
 
+    def test_fresh_seeds_do_not_rescan_the_cache_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """Every new (rounds, seed) builds a suite over the shared cache
+        directory; opening it must not scan the directory each time, or
+        a long-running server slows down as its cache grows."""
+        import os
+
+        cache_dir = tmp_path / "cache"
+        scans: list[object] = []
+        real_scandir = os.scandir
+
+        def counting_scandir(path="."):
+            if isinstance(path, (str, os.PathLike)) and os.path.realpath(
+                path
+            ) == os.path.realpath(cache_dir):
+                scans.append(path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        engine = SimulationEngine(mc_workers=1, cache_dir=cache_dir)
+        try:
+            point = make_job(rounds=1).request.points[0]
+            engine.compute_point(1, 0, point)
+            after_one = len(scans)
+            for seed in range(1, 50):
+                engine.compute_point(1, seed, point)
+            assert len(scans) == after_one
+        finally:
+            engine.close()
+
     def test_key_for_matches_result_cache_hash(self):
         from repro.experiments.cache import cache_key
         from repro.experiments.runner import ExperimentSuite
