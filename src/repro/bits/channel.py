@@ -135,13 +135,13 @@ class Channel:
     @property
     def supports_packed(self) -> bool:
         """True when the channel is a pure Boolean sum (the paper's
-        noise-free, capture-free model) -- the only setting the uint64
+        noise-free, capture-free model) -- the only setting the packed
         fast path covers; bit errors and captures need the object layer.
         """
         return self.bit_error_rate == 0.0 and self.capture_probability == 0.0
 
     def transmit_packed(self, values: Sequence[int], bits: int) -> int | None:
-        """Superpose packed ≤64-bit payloads: the uint64 fast path.
+        """Superpose ``bits``-wide packed payloads (plain ints, any width).
 
         Semantics and statistics match :meth:`transmit` over the
         equivalent equal-length :class:`BitVector` signals.  Only valid on
@@ -156,9 +156,10 @@ class Channel:
         self.stats.bits_on_air += bits * n
         if n == 1:
             return values[0]
-        if n <= 32:
+        if n <= 32 or bits > 64:
             # Typical collided slots hold a handful of tags; a plain int
-            # OR loop beats the array round-trip at these sizes.
+            # OR loop beats the array round-trip at these sizes, and it
+            # is the only option for payloads wider than a uint64.
             acc = 0
             for v in values:
                 acc |= v
@@ -173,11 +174,13 @@ class Channel:
         """Superpose every slot of a frame in one call.
 
         ``values`` holds all of the frame's packed payloads slot-major
-        (slot 0's transmitters first) as uint64; ``counts[s]`` is slot
-        ``s``'s transmitter count.  Returns one uint64 per slot -- the
-        segmented OR-reduction of that slot's payloads, 0 for idle slots
-        (QCD payloads are strictly positive, so 0 is unambiguous there;
-        callers that need idle-vs-zero must consult ``counts``).
+        (slot 0's transmitters first): a uint64 array, or an object array
+        of ints for payloads wider than 64 bits.  ``counts[s]`` is slot
+        ``s``'s transmitter count.  Returns one value per slot, with the
+        dtype of ``values`` -- the segmented OR-reduction of that slot's
+        payloads, 0 for idle slots (QCD payloads are strictly positive,
+        so 0 is unambiguous there; callers that need idle-vs-zero must
+        consult ``counts``).
 
         Statistics are updated exactly as ``len(counts)`` calls to
         :meth:`transmit_packed` would.  Only valid with
@@ -189,7 +192,7 @@ class Channel:
         self.stats.transmissions += total
         self.stats.bits_on_air += bits * total
         self.last_capture_index = None
-        superposed = np.zeros(n_slots, dtype=np.uint64)
+        superposed = np.zeros(n_slots, dtype=values.dtype)
         if total:
             occupied = counts > 0
             # Exclusive prefix sum = each slot's segment start; keeping

@@ -54,19 +54,15 @@ class CRCCDDetector(CollisionDetector):
         self.id_bits = id_bits
         self.engine = CrcEngine(crc_spec, method=method)
         self.name = f"CRC-CD/{crc_spec.name}"
-        # The uint64 fast path needs the whole id ⊕ crc(id) payload in one
-        # machine word: available for e.g. 32-bit IDs with CRC-32, or
-        # 48-bit IDs with CRC-16 -- the paper's 64+32 layout stays on the
-        # object path.
-        self.packed_bits = (
-            self.id_bits + self.engine.spec.width
-            if self.id_bits + self.engine.spec.width <= 64
-            else None
-        )
+        # The packed paths work on Python ints of any width, so the
+        # paper's 64+32 layout packs too (the Reader stores payloads wider
+        # than one machine word in an object array).
+        self.packed_bits = self.id_bits + self.engine.spec.width
         # A tag's payload is a pure function of its ID, so both payload
         # paths memoize (value, crc_op_count) per ID and replay the op
         # count into the counters on every transmission -- identical
-        # Table IV accounting without recomputing the CRC each slot.
+        # Table IV accounting without recomputing the CRC each slot.  The
+        # packed classifier reads the same memo for a slot's ID field.
         self._payload_memo: dict[int, tuple[int, int]] = {}
         #: Instrumentation for the Table IV comparison.
         self.classify_calls = 0
@@ -142,14 +138,26 @@ class CRCCDDetector(CollisionDetector):
         self.classify_calls += 1
         if value is None:
             return SlotOutcome(SlotType.IDLE)
-        id_field = value >> self.crc_bits
-        crc_field = value & ((1 << self.crc_bits) - 1)
-        recomputed = self.engine.compute_bits(
-            BitVector(id_field, self.id_bits)
-        )
+        crc_bits = self.crc_bits
+        id_field = value >> crc_bits
+        crc_mask = (1 << crc_bits) - 1
+        # The CRC and its data-dependent op count are pure functions of
+        # the ID field, so a field that equals a known tag ID (every true
+        # single) replays the memo exactly.  OR-ed collision fields are
+        # computed but not stored, keeping the memo bounded by the
+        # population.
+        memo = self._payload_memo.get(id_field)
+        if memo is None:
+            recomputed = self.engine.compute_bits(
+                BitVector(id_field, self.id_bits)
+            ).to_int()
+            ops = self.engine.last_op_count
+        else:
+            recomputed = memo[0] & crc_mask
+            ops = memo[1]
         self.crc_computations += 1
-        self.crc_ops_total += self.engine.last_op_count
-        if recomputed.to_int() == crc_field:
+        self.crc_ops_total += ops
+        if recomputed == value & crc_mask:
             return SlotOutcome(SlotType.SINGLE, decoded_id=id_field)
         return SlotOutcome(SlotType.COLLIDED)
 
@@ -159,10 +167,11 @@ class CRCCDDetector(CollisionDetector):
         """Frame classification: vectorized idle handling, scalar CRCs.
 
         Each occupied slot's (possibly OR-overlapped) ID field gets its
-        own CRC through :meth:`classify_packed`, which charges the shift
-        register's exact, data-dependent op count; the engine's byte
-        tables make that a few lookups per byte.  The win here is
-        skipping the idle majority of late frames.
+        own CRC check through :meth:`classify_packed`, which charges the
+        shift register's exact, data-dependent op count (replayed from
+        the per-ID memo for a known ID, a few byte-table lookups per
+        byte otherwise).  The win here is skipping the idle majority of
+        late frames.
         """
         n_slots = len(counts)
         out = np.full(n_slots, int(SlotType.IDLE), dtype=np.int64)

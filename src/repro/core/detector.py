@@ -75,12 +75,13 @@ class CollisionDetector(ABC):
     needs_id_phase: bool = False
 
     #: Width of the packed contention payload in bits, or ``None`` when the
-    #: scheme cannot represent its payloads as machine integers.  When set
-    #: (<= 64), :meth:`contention_payload_packed` and
-    #: :meth:`classify_packed` must be implemented, must consume tag RNG
-    #: streams identically to their object counterparts, and must return
-    #: identical verdicts -- the Reader's uint64 fast path relies on all
-    #: three properties.
+    #: scheme cannot represent its payloads as integers.  When set (any
+    #: width; the Reader keeps payloads wider than 64 bits in an object
+    #: array instead of a uint64 one), :meth:`contention_payload_packed`
+    #: and :meth:`classify_packed` must be implemented, must consume tag
+    #: RNG streams identically to their object counterparts, and must
+    #: return identical verdicts -- the Reader's packed fast path relies
+    #: on all three properties.
     packed_bits: int | None = None
 
     @property
@@ -135,7 +136,8 @@ class CollisionDetector(ABC):
     ) -> "np.ndarray":
         """Classify a whole frame of packed superpositions at once.
 
-        ``values[s]`` is slot ``s``'s superposed uint64 (0 when idle) and
+        ``values[s]`` is slot ``s``'s superposed value (0 when idle; a
+        uint64, or a Python int when ``packed_bits > 64``) and
         ``counts[s]`` its ground-truth transmitter count -- needed to
         distinguish an idle slot from an all-zero payload, since the
         object channel reports idle as the *absence* of a signal.

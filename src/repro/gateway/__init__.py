@@ -38,7 +38,6 @@ from repro.gateway.codec import (
     decode_frame,
     encode_frame,
 )
-from repro.gateway.gateway import GatewayApp, GatewayConfig
 
 __all__ = [
     "Frame",
@@ -60,3 +59,14 @@ __all__ = [
     "GatewayApp",
     "GatewayConfig",
 ]
+
+
+def __getattr__(name: str):
+    # The server module is imported on first use, not with the package:
+    # ``python -m repro.gateway.gateway`` would otherwise find it already
+    # in ``sys.modules`` and warn before running it as ``__main__``.
+    if name in ("GatewayApp", "GatewayConfig"):
+        from repro.gateway import gateway
+
+        return getattr(gateway, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

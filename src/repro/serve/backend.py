@@ -310,7 +310,11 @@ class BackendSupervisor:
     # -- the probe loop -------------------------------------------------
 
     async def _watch(self, backend: Backend) -> None:
-        while True:
+        # ``stop`` sets ``_stopping`` before it cancels this task, and the
+        # flag is what ends the loop: on Python 3.11 ``asyncio.wait_for``
+        # turns a cancel that lands as the probe's connect fails into
+        # that failure, so a probe can swallow the cancel and return.
+        while not self._stopping:
             try:
                 await self._probe(backend)
             except asyncio.CancelledError:

@@ -708,15 +708,20 @@ async def _relay(
     payload: bytes,
 ) -> int:
     """Pass a backend's error response through verbatim, ``Retry-After``
-    included; returns its status."""
+    included; returns its status.  A failed write raises
+    :class:`ClientGone`, so a hop's ``except`` cannot blame the backend
+    for a client that hung up."""
     retry_after = headers.get("retry-after")
-    await http1.send_response(
-        writer,
-        status,
-        "application/json",
-        payload,
-        [("Retry-After", retry_after)] if retry_after else (),
-    )
+    try:
+        await http1.send_response(
+            writer,
+            status,
+            "application/json",
+            payload,
+            [("Retry-After", retry_after)] if retry_after else (),
+        )
+    except (ConnectionError, OSError) as exc:
+        raise ClientGone(str(exc)) from exc
     return status
 
 

@@ -90,9 +90,10 @@ class Reader:
     max_slots:
         Hard safety bound on inventory length (default ``10^7``).
     packed:
-        uint64 superposition fast path: instead of composing per-tag
-        :class:`BitVector` objects, each slot ORs packed ≤64-bit payloads
-        (``np.bitwise_or.reduce``).  ``None`` (default) auto-selects: the
+        Integer superposition fast path: instead of composing per-tag
+        :class:`BitVector` objects, each slot ORs the detector's
+        ``packed_bits``-wide integer payloads (CRC-CD's 96-bit
+        ``id ⊕ crc(id)`` included).  ``None`` (default) auto-selects: the
         fast path runs whenever the detector and channel support it and
         invariant checking is off (the checker needs the composed object
         signal).  :mod:`repro.obs` does not force the object path: the
@@ -106,11 +107,12 @@ class Reader:
         protocol exports its whole frame schedule
         (:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`),
         the reader superposes, classifies and timestamps every slot of
-        the frame with numpy instead of looping slots in Python.  Subject
-        to the same gate as ``packed`` (so invariants, noisy channels and
-        unpacked detectors all fall back), and per-slot fallback also
-        covers tree protocols and any frame the protocol declines to
-        export.  Under :mod:`repro.obs` a batched frame opens the same
+        the frame with numpy instead of looping slots in Python (in a
+        uint64 arena, or an object arena for payloads wider than 64
+        bits).  Subject to the same gate as ``packed`` (so invariants,
+        noisy channels and unpacked detectors all fall back), and
+        per-slot fallback also covers tree protocols and any frame the
+        protocol declines to export.  Under :mod:`repro.obs` a batched frame opens the same
         ``frame`` span and records its slots in one bulk
         :func:`~repro.obs.instruments.record_slots` call.  ``False``
         keeps the per-slot loop even when batching is available
@@ -138,13 +140,14 @@ class Reader:
         self.max_slots = max_slots
         self.packed = packed
         self.frame_batched = frame_batched
-        #: Reusable uint64 payload arena for the frame-batched path,
-        #: grown geometrically and never shrunk.
+        #: Reusable payload arena for the frame-batched path, grown
+        #: geometrically and never shrunk: uint64 when the payloads fit a
+        #: machine word, an object array of ints when they are wider.
         self._arena: np.ndarray | None = None
         if packed and not self._packed_supported():
             raise ValueError(
                 f"packed=True but {self.detector.name} / the channel "
-                "cannot run the uint64 path (detector.packed_bits is None "
+                "cannot run the packed path (detector.packed_bits is None "
                 "or the channel has noise/capture enabled)"
             )
         if policy == "crc_guard" and not self.timing.guard_id_phase:
@@ -349,7 +352,8 @@ class Reader:
         arena = self._arena
         if arena is None or len(arena) < total:
             grown = 1024 if arena is None else 2 * len(arena)
-            arena = self._arena = np.empty(max(total, grown), np.uint64)
+            dtype = np.uint64 if detector.packed_bits <= 64 else object
+            arena = self._arena = np.empty(max(total, grown), dtype)
         payload = detector.contention_payload_packed
         arena[:total] = [
             payload(tag.tag_id, tag.rng)
@@ -459,7 +463,7 @@ class Reader:
     ) -> tuple[float, SlotRecord]:
         detector = self.detector
         if packed:
-            # uint64 fast path: packed payloads, machine-word OR, integer
+            # Packed fast path: integer payloads, integer OR, integer
             # classification.  Same RNG draws, same verdicts, same channel
             # statistics as the object path below.
             values = [

@@ -32,15 +32,19 @@ def _free_port() -> int:
         return sock.getsockname()[1]
 
 
-def _spawn(module: str, *args: str) -> subprocess.Popen:
+def _env() -> dict[str, str]:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + existing if existing else "")
+    return env
+
+
+def _spawn(module: str, *args: str) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", module, "--port", "0", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
-        env=env,
+        env=_env(),
         text=True,
     )
 
@@ -104,3 +108,18 @@ class TestCliLifecycle:
         doc = json.loads(metrics.read_text())
         samples = doc["repro_gateway_crc_failures_total"]["samples"]
         assert samples == [{"labels": {}, "value": 0}], samples
+
+    def test_gateway_module_runs_without_warnings(self):
+        """``python -m repro.gateway.gateway`` must not find its own
+        module already imported by the package (a ``RuntimeWarning`` on
+        stderr before anything else)."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.gateway.gateway", "--help"],
+            capture_output=True,
+            env=_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert "repro-gateway" in done.stdout
+        assert done.stderr == ""

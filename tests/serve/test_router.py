@@ -5,10 +5,14 @@ Each test spins up a real ``RouterApp`` (in-process, own event-loop
 thread) over real spawned ``repro-serve`` subprocesses -- the same
 topology ``repro-serve-router`` runs in production.  Failure injection
 lives in ``test_router_faults.py``; pure ring math in ``test_ring.py``.
+The last two classes drive single coroutines with fakes instead, so
+their races (a client reset mid-relay, a probe that swallows its
+cancel) happen on every run.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
 import urllib.request
@@ -16,11 +20,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import obs
 from repro.experiments.cache import cache_key
 from repro.experiments.config import CASES
+from repro.obs import instruments as inst
+from repro.serve import http1
+from repro.serve.backend import HEALTHY, Backend, BackendSupervisor
 from repro.serve.client import ServeError
+from repro.serve.http1 import ClientGone, HttpRequest, RequestScope
 from repro.serve.protocol import GridPoint
-from repro.serve.router import RouterApp, RouterConfig
+from repro.serve.router import RouterApp, RouterConfig, RouterJob
 
 pytestmark = pytest.mark.slow
 
@@ -298,3 +307,114 @@ class TestKeyContract:
     def test_router_requires_a_backend(self):
         with pytest.raises(ValueError):
             RouterApp(RouterConfig(backends=0, attach=()))
+
+
+class _ErrorResponse:
+    """A backend's buffered non-200 answer, as ``http1.open_fetch`` has
+    it after the head."""
+
+    status = 404
+    headers: dict[str, str] = {}
+
+    async def read_body(self) -> bytes:
+        return http1.json_payload(
+            {"error": {"code": "not_found", "message": "no such job"}}
+        )
+
+    async def aclose(self) -> None:
+        pass
+
+
+class _ResetWriter:
+    """A client connection the peer has reset: every write fails."""
+
+    def write(self, data: bytes) -> None:
+        raise ConnectionResetError("connection reset by peer")
+
+    async def drain(self) -> None:
+        raise ConnectionResetError("connection reset by peer")
+
+
+class TestJobStreamClientHangup:
+    def test_client_reset_during_error_relay_keeps_backend(
+        self, monkeypatch
+    ):
+        """The backend answers the job stream with a 404 and the client
+        resets while the router relays it: the client is gone, the
+        backend is not -- it stays healthy on the ring, and nothing is
+        ejected, retried or resumed."""
+
+        async def open_fetch(*args, **kwargs):
+            return _ErrorResponse()
+
+        monkeypatch.setattr(http1, "open_fetch", open_fetch)
+        obs.enable()
+        app = RouterApp(RouterConfig(backends=0, attach=("127.0.0.1:9",)))
+        (backend,) = app.supervisor.backends
+        app.supervisor._mark(backend, HEALTHY, "probe ok")
+        job = RouterJob(
+            id="rjob-0",
+            doc=_simulate_body(mode="async"),
+            backend_id=backend.id,
+            backend_job_id="job-0",
+            request_id=None,
+            n_points=1,
+        )
+        app.jobs[job.id] = job
+        request = HttpRequest("GET", f"/v1/jobs/{job.id}", {}, b"")
+
+        with pytest.raises(ClientGone):
+            asyncio.run(
+                app._handle_job_stream(
+                    request, _ResetWriter(), RequestScope("rid-0")
+                )
+            )
+        assert backend.state == HEALTHY
+        assert backend.id in app.ring
+        assert job.resumes == 0
+        registry = obs.STATE.registry.to_dict()
+        for family in (
+            inst.ROUTER_EJECTIONS,
+            inst.ROUTER_RETRIES,
+            inst.ROUTER_STREAM_RESUMES,
+        ):
+            assert family not in registry, family
+
+
+class TestSupervisorStop:
+    def test_stop_ends_a_probe_loop_that_swallowed_its_cancel(
+        self, monkeypatch
+    ):
+        """On Python 3.11 ``asyncio.wait_for`` turns a cancel that lands
+        as the probe's connect fails into that failure, so the probe
+        returns normally from ``stop``'s cancel.  The watch loop must end
+        anyway, or the router's drain waits for it forever."""
+        probes = 0
+        swallowed = False
+
+        async def probe(self, backend):
+            nonlocal probes, swallowed
+            probes += 1
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                if swallowed:
+                    raise
+                swallowed = True
+
+        monkeypatch.setattr(BackendSupervisor, "_probe", probe)
+        supervisor = BackendSupervisor(
+            [Backend("ext0", "127.0.0.1", 9)],
+            on_up=lambda backend: None,
+            on_down=lambda backend, reason: None,
+            health_interval_s=0.01,
+        )
+
+        async def start_then_stop():
+            await supervisor.start()
+            await asyncio.sleep(0)  # the probe is now in flight
+            await asyncio.wait_for(supervisor.stop(), timeout=5)
+
+        asyncio.run(start_then_stop())
+        assert swallowed
+        assert probes == 1

@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.bits.channel import Channel
 from repro.bits.rng import make_rng
+from repro.core.collision_function import IdentityFunction
 from repro.core.crc_cd import CRCCDDetector
 from repro.core.qcd import QCDDetector
 from repro.protocols.bt import BinaryTree
@@ -84,8 +85,17 @@ class TestGating:
     def test_auto_gate_uses_packed_when_supported(self, timing):
         assert Reader(QCDDetector(8), timing)._use_packed()
 
-    def test_auto_gate_falls_back_for_crc(self, timing):
-        reader = Reader(CRCCDDetector(id_bits=timing.id_bits), timing)
+    def test_auto_gate_uses_packed_for_wide_crc(self, timing):
+        """CRC-CD's 96-bit ``id ⊕ crc(id)`` at the paper's layout runs
+        the packed path as a plain int (tests/sim/test_reader_crc_wide.py
+        pins the tiers identical)."""
+        reader = Reader(CRCCDDetector(id_bits=64), timing)
+        assert reader.detector.packed_bits == 96
+        assert reader._use_packed()
+
+    def test_auto_gate_falls_back_without_packed_form(self, timing):
+        """An ablation collision function has no packed form."""
+        reader = Reader(QCDDetector(8, IdentityFunction()), timing)
         assert not reader._use_packed()
 
     def test_auto_gate_falls_back_for_noisy_channel(self, timing, rng):
@@ -119,7 +129,7 @@ class TestGating:
 
     def test_packed_true_requires_support(self, timing, rng):
         with pytest.raises(ValueError, match="packed"):
-            Reader(CRCCDDetector(id_bits=timing.id_bits), timing, packed=True)
+            Reader(QCDDetector(8, IdentityFunction()), timing, packed=True)
         with pytest.raises(ValueError, match="packed"):
             Reader(
                 QCDDetector(8),
