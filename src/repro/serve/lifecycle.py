@@ -146,8 +146,7 @@ class Service:
             if remaining <= 0:
                 break
             await asyncio.wait(busy, timeout=remaining)
-        if self._server is not None:
-            self._server.close()
+        await self._stop_listening()
         for writer in self._idle.values():
             writer.transport.abort()
         await settle(self._handlers, max(0.0, deadline - loop.time()))
@@ -161,6 +160,26 @@ class Service:
                 _OBS.tracer = Tracer(NullSink())
             self._trace_sink.close()
         self._closed.set()
+
+    async def _stop_listening(self) -> None:
+        """Close the listener without losing a connection mid-accept.
+
+        asyncio accepts a socket in one loop pass, attaches its transport
+        in the next, calls ``connection_made`` in the one after, and the
+        handler task's first step (:meth:`_accept`) runs one pass later.
+        A transport cannot attach to a closed server: asyncio then leaves
+        the socket open, and its client waits out its own timeout.  So
+        stop accepting first, let the passes run, then close; every
+        accepted connection is a tracked handler by then.
+        """
+        if self._server is None:
+            return
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
+        for _ in range(3):
+            await asyncio.sleep(0)
+        self._server.close()
 
     async def aclose(self) -> None:
         """Drain and wait until fully closed (test/embedding helper)."""

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.bits.rng import RngStream
 from repro.tags.epc import Sgtin96
 from repro.tags.tag import Tag
@@ -100,14 +98,22 @@ class TagPopulation:
             if self.size > space // 2:
                 # Dense case: permute the whole space.
                 perm = rng.generator.permutation(space)[: self.size]
-                return [int(v) for v in perm]
+                return perm.tolist()
         seen = set()
         out = []
         while len(out) < self.size:
             need = self.size - len(out)
             draws = rng.integers(0, 1 << min(self.id_bits, 63), size=need * 2 or 1)
-            for d in np.asarray(draws, dtype=np.uint64):
-                v = int(d)
+            ids = draws[:need].tolist()
+            if not seen and len(set(ids)) == need:
+                # No duplicate among the first ``need`` draws, so the loop
+                # below would accept exactly those; PCG64 draws the same
+                # high bits in one call as in ``need`` scalar calls.
+                if self.id_bits > 63:
+                    high = rng.integers(0, 1 << (self.id_bits - 63), size=need)
+                    ids = [v | h << 63 for v, h in zip(ids, high.tolist())]
+                return ids
+            for v in draws.tolist():
                 if self.id_bits > 63:
                     # extend with extra random high bits
                     v |= int(rng.integers(0, 1 << (self.id_bits - 63))) << 63

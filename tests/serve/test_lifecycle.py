@@ -52,6 +52,60 @@ def test_idle_connection_does_not_hold_the_drain(kind):
     assert asyncio.run(scenario()) < 2.0
 
 
+_SIMULATE = (
+    b'{"version": 1, "cases": ["I"], "protocols": ["fsa"], '
+    b'"schemes": ["qcd-8"], "rounds": 1, "seed": 7}'
+)
+
+
+def _reply_then_close(sock: socket.socket) -> bytes:
+    """Everything ``sock`` receives until the service closes it (a reset
+    counts as a close); raises ``TimeoutError`` if it is left open."""
+    chunks = []
+    try:
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("kind", ["serve", "router", "gateway"])
+def test_connection_accepted_as_the_drain_closes_is_answered(kind):
+    """A connection asyncio accepts in the loop pass where the drain closes
+    the listener still gets a typed 503 or a close.
+
+    The client connects while the loop is busy, so the listener's accept
+    callback queues behind this coroutine.  The drain starts from here, and
+    the accept runs next, before the drain's first step.  With no
+    in-flight work to wait for (router, gateway), that step reaches the
+    listener at once, while the accepted socket's transport is still one
+    pass away.  asyncio cannot attach a transport to a closed server: it
+    leaves the socket open, and the client waits out its own timeout.
+    """
+
+    async def scenario() -> socket.socket:
+        app = _make_app(kind)
+        await app.start()
+        client = socket.create_connection(("127.0.0.1", app.port), timeout=5)
+        client.sendall(
+            b"POST /v1/simulate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(_SIMULATE), _SIMULATE)
+        )
+        time.sleep(0.05)  # the handshake is done: the listener is readable
+        await asyncio.sleep(0)  # the accept callback queues behind us
+        app.begin_drain()
+        await asyncio.wait_for(app.wait_closed(), timeout=10)
+        return client
+
+    client = asyncio.run(scenario())
+    with client:
+        reply = _reply_then_close(client)
+    assert reply == b"" or (
+        reply.startswith(b"HTTP/1.1 503") and b'"draining"' in reply
+    ), reply[:80]
+
+
 @pytest.mark.parametrize("module", [server_mod, router_mod, gateway_mod])
 def test_parser_defaults_equal_config_defaults(module):
     config_cls = {
