@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from _reference_reader import transmit
 from repro import obs
 from repro.bits.rng import make_rng
 from repro.core.crc_cd import CRCCDDetector
@@ -69,7 +70,7 @@ def baseline_inventory(reader, tags, protocol) -> InventoryResult:
         payloads = [
             detector.contention_payload(t.tag_id, t.rng) for t in responders
         ]
-        signal = reader.channel.transmit(payloads)
+        signal = transmit(reader.channel, payloads)
         if isinstance(detector, IdealDetector):
             sole = responders[0].tag_id if len(responders) == 1 else None
             detector.observe_transmitters(len(responders), sole)

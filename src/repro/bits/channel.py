@@ -9,7 +9,9 @@ Boolean sum of their signals::
 :class:`Channel` implements exactly this model, distinguishing the *absence*
 of a transmission (idle slot -- the reader receives nothing) from an
 all-zero signal.  It also accounts for the airtime consumed, which is what
-the paper's timing model charges (``τ`` per bit).
+the paper's timing model charges (``τ`` per bit).  A signal is a packed
+int of a given bit width whose most significant bit goes on the air
+first, the layout of :class:`~repro.bits.bitvec.BitVector`.
 
 Two physical effects beyond the paper's noise-free, capture-free setting
 are available for robustness studies (both off by default):
@@ -33,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bits.bitvec import BitVector
 from repro.bits.rng import RngStream
 
 __all__ = ["Channel", "ChannelStats"]
@@ -100,52 +101,19 @@ class Channel:
                 "capture_probability is > 0"
             )
 
-    def transmit(self, signals: Sequence[BitVector]) -> BitVector | None:
-        """Superpose the signals of one slot.
-
-        Returns ``None`` for an idle slot (no transmitters).  All signals
-        must have equal length -- the slotted protocol guarantees tags are
-        bit-synchronous.  Check :attr:`last_capture_index` after the call
-        to learn whether (and whose) capture occurred.
-        """
-        self.stats.slots += 1
-        self.last_capture_index = None
-        if not signals:
-            return None
-        self.stats.transmissions += len(signals)
-        self.stats.bits_on_air += sum(s.length for s in signals)
-        if len(signals) >= 2 and self.capture_probability > 0.0:
-            p = self.capture_probability * self.capture_falloff ** (
-                len(signals) - 2
-            )
-            assert self.rng is not None
-            if float(self.rng.random()) < p:
-                idx = int(self.rng.integers(0, len(signals)))
-                self.last_capture_index = idx
-                self.stats.captures += 1
-                received = signals[idx]
-                if self.bit_error_rate > 0.0:
-                    received = self._corrupt(received)
-                return received
-        received = BitVector.superpose(signals)
-        if self.bit_error_rate > 0.0:
-            received = self._corrupt(received)
-        return received
-
-    @property
-    def supports_packed(self) -> bool:
-        """True when the channel is a pure Boolean sum (the paper's
-        noise-free, capture-free model) -- the only setting the packed
-        fast path covers; bit errors and captures need the object layer.
-        """
-        return self.bit_error_rate == 0.0 and self.capture_probability == 0.0
-
     def transmit_packed(self, values: Sequence[int], bits: int) -> int | None:
-        """Superpose ``bits``-wide packed payloads (plain ints, any width).
+        """Superpose the ``bits``-wide packed payloads of one slot.
 
-        Semantics and statistics match :meth:`transmit` over the
-        equivalent equal-length :class:`BitVector` signals.  Only valid on
-        a channel with :attr:`supports_packed`.
+        Returns ``None`` for an idle slot (no transmitters), otherwise the
+        bitwise OR of ``values`` (plain ints, any width) after capture and
+        bit errors.  Check :attr:`last_capture_index` after the call to
+        learn whether (and whose) capture occurred.
+
+        Per occupied slot the channel RNG draws, in this order: the
+        capture test's ``random()`` (collided slots, capture enabled),
+        ``integers(0, n)`` when the slot is captured, then ``random(bits)``
+        for the bit errors, whose draw ``i`` flips bit ``bits - 1 - i``
+        (MSB first).
         """
         self.stats.slots += 1
         self.last_capture_index = None
@@ -155,18 +123,44 @@ class Channel:
         self.stats.transmissions += n
         self.stats.bits_on_air += bits * n
         if n == 1:
-            return values[0]
-        if n <= 32 or bits > 64:
+            received = values[0]
+        elif self.capture_probability and self._captures(n):
+            received = values[self.last_capture_index]
+        elif n <= 32 or bits > 64:
             # Typical collided slots hold a handful of tags; a plain int
             # OR loop beats the array round-trip at these sizes, and it
             # is the only option for payloads wider than a uint64.
-            acc = 0
+            received = 0
             for v in values:
-                acc |= v
-            return acc
-        return int(
-            np.bitwise_or.reduce(np.fromiter(values, np.uint64, count=n))
-        )
+                received |= v
+        else:
+            received = int(
+                np.bitwise_or.reduce(np.fromiter(values, np.uint64, count=n))
+            )
+        if self.bit_error_rate:
+            received ^= self._flip_masks(1, bits)[0]
+        return received
+
+    def _captures(self, n: int) -> bool:
+        """The capture draws for an ``n``-transmitter slot (``n >= 2``)."""
+        p = self.capture_probability * self.capture_falloff ** (n - 2)
+        assert self.rng is not None
+        if float(self.rng.random()) >= p:
+            return False
+        self.last_capture_index = int(self.rng.integers(0, n))
+        self.stats.captures += 1
+        return True
+
+    def _flip_masks(self, n: int, bits: int) -> list[int]:
+        """Bit-error masks of ``n`` occupied slots from one draw: draw
+        ``k * bits + i`` flips bit ``bits - 1 - i`` of slot ``k``."""
+        assert self.rng is not None
+        hits = np.flatnonzero(self.rng.random(bits * n) < self.bit_error_rate)
+        self.stats.flipped_bits += len(hits)
+        masks = [0] * n
+        for k, i in zip(*(a.tolist() for a in np.divmod(hits, bits))):
+            masks[k] |= 1 << (bits - 1 - i)
+        return masks
 
     def transmit_packed_many(
         self, values: np.ndarray, counts: np.ndarray, bits: int
@@ -182,9 +176,12 @@ class Channel:
         so 0 is unambiguous there; callers that need idle-vs-zero must
         consult ``counts``).
 
-        Statistics are updated exactly as ``len(counts)`` calls to
-        :meth:`transmit_packed` would.  Only valid with
-        :attr:`supports_packed`.
+        Statistics and bit errors are exactly those of ``len(counts)``
+        calls to :meth:`transmit_packed`: the whole frame's flips come
+        from one ``random(bits * occupied)`` draw, which yields the same
+        values as one ``random(bits)`` per occupied slot in slot order.
+        A capturing channel interleaves a second kind of draw per slot,
+        so it must run its slots through :meth:`transmit_packed`.
         """
         n_slots = len(counts)
         total = len(values)
@@ -204,13 +201,11 @@ class Channel:
             superposed[occupied] = np.bitwise_or.reduceat(
                 values, starts[occupied]
             )
+            if self.bit_error_rate:
+                slots = np.flatnonzero(occupied).tolist()
+                for slot, mask in zip(
+                    slots, self._flip_masks(len(slots), bits)
+                ):
+                    if mask:
+                        superposed[slot] = int(superposed[slot]) ^ mask
         return superposed
-
-    def _corrupt(self, signal: BitVector) -> BitVector:
-        assert self.rng is not None
-        flips = self.rng.random(signal.length) < self.bit_error_rate
-        if not flips.any():
-            return signal
-        mask = BitVector.from_bits(int(f) for f in flips)
-        self.stats.flipped_bits += int(flips.sum())
-        return signal ^ mask

@@ -54,10 +54,6 @@ class CRCCDDetector(CollisionDetector):
         self.id_bits = id_bits
         self.engine = CrcEngine(crc_spec, method=method)
         self.name = f"CRC-CD/{crc_spec.name}"
-        # The packed paths work on Python ints of any width, so the
-        # paper's 64+32 layout packs too (the Reader stores payloads wider
-        # than one machine word in an object array).
-        self.packed_bits = self.id_bits + self.engine.spec.width
         # A tag's payload is a pure function of its ID, so both payload
         # paths memoize (value, crc_op_count) per ID and replay the op
         # count into the counters on every transmission -- identical
@@ -128,13 +124,14 @@ class CRCCDDetector(CollisionDetector):
         self.crc_ops_total += memo[1]
         return memo[0]
 
-    def classify_packed(self, value: int | None) -> SlotOutcome:
+    def classify_packed(self, value: int | None, count: int) -> SlotOutcome:
         """CRC check over a packed superposition (same counters).
 
         Unlike QCD, an all-zero payload is possible (an ID whose CRC is
         zero), so idle is signalled by ``None`` -- mirroring the object
         channel's no-signal convention -- never inferred from the value.
         """
+        del count
         self.classify_calls += 1
         if value is None:
             return SlotOutcome(SlotType.IDLE)
@@ -178,8 +175,10 @@ class CRCCDDetector(CollisionDetector):
         occupied = np.flatnonzero(counts)
         self.classify_calls += n_slots - len(occupied)
         slot_values = values.tolist()
+        slot_counts = counts.tolist()
         for slot in occupied.tolist():
-            out[slot] = int(self.classify_packed(slot_values[slot]).slot_type)
+            verdict = self.classify_packed(slot_values[slot], slot_counts[slot])
+            out[slot] = int(verdict.slot_type)
         return out
 
     def miss_probability(self, m: int) -> float:

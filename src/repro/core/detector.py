@@ -74,21 +74,22 @@ class CollisionDetector(ABC):
     #: payload (CRC-CD).
     needs_id_phase: bool = False
 
-    #: Width of the packed contention payload in bits, or ``None`` when the
-    #: scheme cannot represent its payloads as integers.  When set (any
-    #: width; the Reader keeps payloads wider than 64 bits in an object
-    #: array instead of a uint64 one), :meth:`contention_payload_packed`
-    #: and :meth:`classify_packed` must be implemented, must consume tag
-    #: RNG streams identically to their object counterparts, and must
-    #: return identical verdicts -- the Reader's packed fast path relies
-    #: on all three properties.
-    packed_bits: int | None = None
-
     @property
     @abstractmethod
     def contention_bits(self) -> int:
         """Length in bits of the payload each tag sends in the contention
         phase of a slot."""
+
+    @property
+    def packed_bits(self) -> int:
+        """Width in bits of the packed contention payload (any width).
+
+        Defaults to :attr:`contention_bits`; a payload that is not its
+        airtime in bits (FM0's half-symbols) overrides it.  The packed
+        methods below must draw from tag RNG streams and return verdicts
+        exactly like their object counterparts -- the Reader runs on them.
+        """
+        return self.contention_bits
 
     @abstractmethod
     def contention_payload(self, tag_id: int, rng: RngStream) -> BitVector:
@@ -116,20 +117,24 @@ class CollisionDetector(ABC):
         """:meth:`contention_payload` as a ``packed_bits``-wide integer.
 
         Must draw from ``rng`` exactly like the object version (same calls,
-        same order), so the two paths stay interchangeable mid-experiment.
-        Only called when :attr:`packed_bits` is not ``None``.
+        same order).  This default packs the object payload; schemes on
+        the Reader's hot path override it with plain int arithmetic.
         """
-        raise NotImplementedError(f"{self.name} has no packed payload")
+        return self.contention_payload(tag_id, rng).to_int()
 
-    def classify_packed(self, value: int | None) -> SlotOutcome:
+    def classify_packed(self, value: int | None, count: int) -> SlotOutcome:
         """:meth:`classify` over a packed superposed value.
 
-        ``value`` is ``None`` for an idle slot, otherwise the bitwise OR
-        of the slot's packed payloads.  Must return the same verdict (and
-        update the same instrumentation) as :meth:`classify` would for the
-        equivalent :class:`BitVector` signal.
+        ``value`` is ``None`` for an idle slot, otherwise the slot's
+        received ``packed_bits``-wide value; ``count`` is its ground-truth
+        transmitter count (only a genie detector may read it).  Must
+        return the same verdict (and update the same instrumentation) as
+        :meth:`classify` would for the equivalent :class:`BitVector`
+        signal.  This default rebuilds that signal and classifies it.
         """
-        raise NotImplementedError(f"{self.name} has no packed classifier")
+        del count
+        signal = None if value is None else BitVector(value, self.packed_bits)
+        return self.classify(signal)
 
     def classify_packed_many(
         self, values: "np.ndarray", counts: "np.ndarray"
@@ -145,15 +150,15 @@ class CollisionDetector(ABC):
 
         Verdicts and instrumentation counters must match ``len(counts)``
         calls to :meth:`classify_packed`; this default delegates to it
-        slot by slot, so packed-capable detectors get the frame-batched
-        reader for free and override only for vectorized speed.
+        slot by slot, so every detector gets the frame-batched reader for
+        free and overrides it only for vectorized speed.
         """
         out = np.empty(len(counts), dtype=np.int64)
         for i, (value, count) in enumerate(
             zip(values.tolist(), counts.tolist())
         ):
             out[i] = int(
-                self.classify_packed(value if count else None).slot_type
+                self.classify_packed(value if count else None, count).slot_type
             )
         return out
 

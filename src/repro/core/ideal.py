@@ -21,9 +21,10 @@ class IdealDetector(CollisionDetector):
     """Perfect, oracle-assisted slot classification.
 
     Unlike the physical schemes, this detector cannot work from the
-    superposed signal alone; the simulator must call
-    :meth:`observe_transmitters` before :meth:`classify`.  This is exactly
-    the "special hardware for sensing collisions" alternative the paper
+    superposed signal alone: :meth:`classify_packed` reads the slot's
+    ground-truth transmitter count, and the object-level :meth:`classify`
+    needs :meth:`observe_transmitters` first.  This is exactly the
+    "special hardware for sensing collisions" alternative the paper
     mentions (and dismisses as unaffordable) in Section I.
     """
 
@@ -66,6 +67,16 @@ class IdealDetector(CollisionDetector):
             if decoded is None and signal is not None:
                 decoded = signal.to_int()
             return SlotOutcome(SlotType.SINGLE, decoded_id=decoded)
+        return SlotOutcome(SlotType.COLLIDED)
+
+    def classify_packed(self, value: int | None, count: int) -> SlotOutcome:
+        """The genie's verdict from the true transmitter ``count``; its
+        ``decoded_id`` is the received ``value``, which bit errors can
+        corrupt (:meth:`classify` reports the observed true ID)."""
+        if count == 0:
+            return SlotOutcome(SlotType.IDLE)
+        if count == 1:
+            return SlotOutcome(SlotType.SINGLE, decoded_id=value)
         return SlotOutcome(SlotType.COLLIDED)
 
     def miss_probability(self, m: int) -> float:

@@ -64,6 +64,11 @@ class FM0ViolationDetector(CollisionDetector):
         """Airtime in bit times: FM0 is rate-1 (two halves per bit time)."""
         return self.id_bits
 
+    @property
+    def packed_bits(self) -> int:
+        """The payload is the waveform: two half-symbols per ID bit."""
+        return 2 * self.id_bits
+
     def contention_payload(self, tag_id: int, rng: RngStream) -> BitVector:
         """The FM0 waveform of the ID (length ``2·id_bits`` half-symbols)."""
         return self.codec.encode(BitVector(tag_id, self.id_bits))

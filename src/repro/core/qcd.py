@@ -19,6 +19,8 @@ reported from measurement.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.bits.bitvec import BitVector
@@ -28,6 +30,10 @@ from repro.core.detector import CollisionDetector, SlotOutcome, SlotType
 from repro.core.preamble import PreambleCodec
 
 __all__ = ["QCDDetector"]
+
+_PACKED_METHODS = (
+    "contention_payload_packed", "classify_packed", "classify_packed_many"
+)
 
 
 class QCDDetector(CollisionDetector):
@@ -51,16 +57,16 @@ class QCDDetector(CollisionDetector):
     ) -> None:
         self.codec = PreambleCodec(strength, function)
         self.name = f"QCD-{strength}"
-        # The uint64 fast path needs the whole 2l-bit preamble in one
-        # machine word and a collision function it can apply to plain
-        # ints; the paper's complement qualifies, ablation functions fall
-        # back to the object path.
-        self.packed_bits = (
-            2 * strength
-            if 2 * strength <= 64
-            and isinstance(self.codec.function, BitwiseComplement)
-            else None
-        )
+        if not isinstance(self.codec.function, BitwiseComplement):
+            # The packed forms below apply the paper's complement to plain
+            # ints.  An ablation function runs the base class's
+            # BitVector-backed defaults instead, bound here once so the
+            # complement's slots test nothing.  (partial, unlike a bound
+            # method, pickles and deep-copies back to the same function.)
+            for name in _PACKED_METHODS:
+                setattr(
+                    self, name, partial(getattr(CollisionDetector, name), self)
+                )
         #: Instrumentation: number of classify() calls and of collision-
         #: function evaluations (one complement per non-idle slot).
         self.classify_calls = 0
@@ -102,7 +108,7 @@ class QCDDetector(CollisionDetector):
         r = int(rng.integers(1, 1 << l))
         return (r << l) | (r ^ ((1 << l) - 1))
 
-    def classify_packed(self, value: int | None) -> SlotOutcome:
+    def classify_packed(self, value: int | None, count: int) -> SlotOutcome:
         """Algorithm 1 over a packed superposition (same counters)."""
         self.classify_calls += 1
         if not value:
@@ -124,11 +130,12 @@ class QCDDetector(CollisionDetector):
         exactly as per-slot :meth:`classify_packed` calls would: one
         classify per slot, one complement evaluation per non-idle slot.
         """
-        del counts
         n_slots = len(values)
         self.classify_calls += n_slots
-        l = np.uint64(self.codec.strength)
-        mask = np.uint64((1 << self.codec.strength) - 1)
+        # Python-int operands keep a uint64 arena uint64 and work
+        # elementwise on an object arena (preambles wider than 64 bits).
+        l = self.codec.strength
+        mask = (1 << l) - 1
         idle = values == 0
         single = (values & mask) == ((values >> l) ^ mask)
         self.function_evaluations += n_slots - int(idle.sum())

@@ -1,17 +1,19 @@
 """``repro-bench`` -- kernel throughput measurement and regression gate.
 
 Measures wall-clock per Monte-Carlo round for the kernels
-(:mod:`repro.sim.batch`), the frozen pre-batching reference kernels
-(``benchmarks/_reference_kernels.py``, loaded from ``--frozen-dir``) and
-the exact Reader's three tiers -- object, per-slot uint64 packed, and
-frame-batched -- then writes a machine-readable ``BENCH_kernels.json``
-(and, with ``--reader-out``, a reader-only document matching
-``benchmarks/BENCH_reader.json``).
+(:mod:`repro.sim.batch`) and the frozen pre-batching reference kernels
+(``benchmarks/_reference_kernels.py``, loaded from ``--frozen-dir``), and
+one exact inventory three ways: on the frozen per-slot object Reader
+(``benchmarks/_reference_reader.py``, also from ``--frozen-dir``), on
+the live Reader slot by slot (the protocol's frame partition withheld),
+and on the live Reader batching whole frames.  It writes a
+machine-readable ``BENCH_kernels.json`` (and, with ``--reader-out``, a
+reader-only document matching ``benchmarks/BENCH_reader.json``).
 
 Because absolute timings are machine-bound, the regression gate compares
 *within-run speedup ratios* (kernels over the frozen reference measured
-on the same machine, packed/frame-batched over object), which transfer
-across machines::
+on the same machine, per-slot/frame-batched over the object Reader),
+which transfer across machines::
 
     repro-bench --quick --out BENCH_kernels.json \\
                 --baseline benchmarks/BENCH_kernels.json \\
@@ -22,8 +24,9 @@ across machines::
 fails (exit 1) when a kernel drops below the frozen reference's
 throughput or when any speedup ratio regresses more than ``--tolerance``
 (default 25%) against the committed baseline.  ``--baseline`` needs the
-frozen kernels: without ``_reference_kernels.py`` in ``--frozen-dir``
-the run stops with an error instead of gating nothing.
+frozen kernels and ``--reader-baseline`` the frozen Reader: without
+``_reference_kernels.py`` or ``_reference_reader.py`` in ``--frozen-dir``
+the run stops with a usage error instead of gating nothing.
 
 The committed baseline is regenerated after an *intentional* perf change
 with the same command CI runs (see ``.github/workflows/ci.yml``).
@@ -84,16 +87,16 @@ def _gens(kids):
     return [np.random.Generator(np.random.PCG64(c)) for c in kids]
 
 
-def _load_frozen(frozen_dir: str | None):
-    """The vendored pre-batching kernels, or None outside a checkout."""
+def _load_frozen(frozen_dir: str | None, name: str = "_reference_kernels"):
+    """A vendored frozen reference module, or None outside a checkout."""
     if not frozen_dir:
         return None
     path = Path(frozen_dir)
-    if not (path / "_reference_kernels.py").is_file():
+    if not (path / f"{name}.py").is_file():
         return None
     sys.path.insert(0, str(path))
     try:
-        return importlib.import_module("_reference_kernels")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(path))
 
@@ -105,8 +108,10 @@ def run_bench(
     repeats: int,
     reader_tags: int,
     frozen=None,
+    frozen_reader=None,
 ) -> dict:
-    """Measure every engine and return the report document."""
+    """Measure every engine and return the report document (ratios over
+    a missing ``frozen`` / ``frozen_reader`` reference are left out)."""
     timing = TimingModel()
     det = QCDDetector(8)
     kernels: dict[str, dict[str, float]] = {}
@@ -165,7 +170,7 @@ def run_bench(
             )
         kernels[proto] = entry
 
-    def reader_once(packed: bool, frame_batched: bool = True) -> float:
+    def reader_once(tier: str) -> float:
         # A fresh population per run is required (identification is
         # destructive), but spawning its per-tag RNG streams is setup,
         # not Reader work -- keep it outside the timed window so the
@@ -173,22 +178,32 @@ def run_bench(
         pop = TagPopulation(
             reader_tags, id_bits=timing.id_bits, rng=make_rng(99)
         )
-        reader = Reader(
-            QCDDetector(8), timing, packed=packed,
-            frame_batched=frame_batched,
+        protocol = FramedSlottedAloha(max(1, reader_tags))
+        if tier == "packed":
+            # No frame to batch: the live Reader runs slot by slot.
+            protocol.frame_partition = lambda: None
+        reader = (frozen_reader.Reader if tier == "object" else Reader)(
+            QCDDetector(8), timing
         )
         t0 = time.perf_counter()
-        reader.run_inventory(pop.tags, FramedSlottedAloha(max(1, reader_tags)))
+        reader.run_inventory(pop.tags, protocol)
         return time.perf_counter() - t0
 
-    # Interleave the three reader tiers within each repeat (and take at
-    # least best-of-5): the ratios are what the gate compares, and
-    # alternating keeps a sustained noise spike from biasing one tier.
-    t_obj = t_packed = t_batched = float("inf")
+    # Interleave the reader tiers within each repeat (and take at least
+    # best-of-5): the ratios are what the gate compares, and alternating
+    # keeps a sustained noise spike from biasing one tier.
+    tiers = ("packed", "batched")
+    if frozen_reader is not None:
+        tiers = ("object", *tiers)
+    best = dict.fromkeys(tiers, float("inf"))
     for _ in range(max(repeats, 5)):
-        t_obj = min(t_obj, reader_once(False))
-        t_packed = min(t_packed, reader_once(True, frame_batched=False))
-        t_batched = min(t_batched, reader_once(True))
+        for tier in tiers:
+            best[tier] = min(best[tier], reader_once(tier))
+    reader_entry = {f"{tier}_ms": t * 1_000.0 for tier, t in best.items()}
+    reader_entry["batched_speedup_vs_packed"] = best["packed"] / best["batched"]
+    if frozen_reader is not None:
+        reader_entry["packed_speedup"] = best["object"] / best["packed"]
+        reader_entry["batched_speedup"] = best["object"] / best["batched"]
     return {
         "config": {
             "n_tags": n_tags,
@@ -200,14 +215,7 @@ def run_bench(
             "frozen_measured": frozen is not None,
         },
         "kernels": kernels,
-        "reader": {
-            "object_ms": t_obj * 1_000.0,
-            "packed_ms": t_packed * 1_000.0,
-            "batched_ms": t_batched * 1_000.0,
-            "packed_speedup": t_obj / t_packed,
-            "batched_speedup": t_obj / t_batched,
-            "batched_speedup_vs_packed": t_packed / t_batched,
-        },
+        "reader": reader_entry,
     }
 
 
@@ -277,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description=(
             "Measure the batched kernels against the frozen reference "
-            "kernels and the Reader's object vs uint64 paths; gate CI on "
-            "speedup ratios."
+            "kernels and the Reader against the frozen object Reader; "
+            "gate CI on speedup ratios."
         ),
     )
     parser.add_argument(
@@ -339,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="benchmarks",
         metavar="DIR",
         help=(
-            "directory holding _reference_kernels.py (the frozen "
-            "pre-batching kernels); required with --baseline"
+            "directory holding _reference_kernels.py and "
+            "_reference_reader.py (the frozen kernels and object Reader); "
+            "required with --baseline / --reader-baseline"
         ),
     )
     return parser
@@ -355,13 +364,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         if override is not None:
             params[key] = override
     frozen = _load_frozen(args.frozen_dir)
+    frozen_reader = _load_frozen(args.frozen_dir, "_reference_reader")
     if args.baseline and frozen is None:
         parser.error(
             f"--baseline gates the speedup over the frozen reference "
             f"kernels, but --frozen-dir {args.frozen_dir!r} holds no "
             f"_reference_kernels.py"
         )
-    report = run_bench(frozen=frozen, **params)
+    if (args.baseline or args.reader_baseline) and frozen_reader is None:
+        parser.error(
+            f"--baseline and --reader-baseline gate the Reader's speedups "
+            f"over the frozen object Reader, but --frozen-dir "
+            f"{args.frozen_dir!r} holds no _reference_reader.py"
+        )
+    report = run_bench(frozen=frozen, frozen_reader=frozen_reader, **params)
 
     for proto, entry in report["kernels"].items():
         line = (
@@ -375,11 +391,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         print(line)
     rd = report["reader"]
-    print(
-        f"reader: object {rd['object_ms']:8.2f} ms | packed "
-        f"{rd['packed_ms']:8.2f} ms | batched {rd['batched_ms']:8.2f} ms "
-        f"| {rd['packed_speedup']:.2f}x / {rd['batched_speedup']:.2f}x"
+    line = (
+        f"packed {rd['packed_ms']:8.2f} ms | batched "
+        f"{rd['batched_ms']:8.2f} ms"
     )
+    if "object_ms" in rd:
+        line = (
+            f"object {rd['object_ms']:8.2f} ms | {line} "
+            f"| {rd['packed_speedup']:.2f}x / {rd['batched_speedup']:.2f}x"
+        )
+    print(f"reader: {line}")
 
     out = Path(args.out)
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -84,6 +84,7 @@ class MobileInventoryEngine:
         index = 0
         obs_on = _OBS.enabled
         inv_on = _INV.enabled
+        bits = self.reader.detector.packed_bits
         seen_ids = [t.tag_id for t in tags0] if inv_on else []
         if obs_on:
             _OBS.tracer.start_span(
@@ -135,7 +136,7 @@ class MobileInventoryEngine:
                 raise RuntimeError(f"exceeded max_slots={self.max_slots}")
             responders = protocol.responders()
             time, record = self.reader._run_slot(
-                index, time, protocol, responders, identified, lost
+                index, time, protocol, responders, identified, lost, bits
             )
             if record.identified_tag is not None:
                 tag = next(

@@ -1,16 +1,22 @@
 """The reader: one inventory = protocol × detector × channel × timing.
 
 :class:`Reader.run_inventory` drives the slot loop the whole reproduction
-rests on::
+rests on, on packed int payloads::
 
     protocol.start(tags)
     while not protocol.finished:
         responders <- protocol
-        signal     <- channel.transmit([detector payload per responder])
-        verdict    <- detector.classify(signal)
+        value      <- channel.transmit_packed([packed payload per responder])
+        verdict    <- detector.classify_packed(value, len(responders))
         time      += timing.slot_duration(detector, verdict)
         ... apply misdetection policy, mark identifications ...
         protocol.feedback(effective_type, responders)
+
+When the protocol exports a whole frame's schedule
+(:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`),
+the reader runs that frame in one vectorized pass instead, with identical
+RNG draws, verdicts, traces and counters; a capturing channel, whose
+draws interleave per slot, always runs slot by slot.
 
 Misdetection policies (DESIGN.md §5) govern what happens when the detector
 calls a collided slot single:
@@ -38,7 +44,6 @@ import numpy as np
 
 from repro.bits.channel import Channel
 from repro.core.detector import CollisionDetector, SlotType
-from repro.core.ideal import IdealDetector
 from repro.core.timing import TimingModel
 from repro.obs import instruments as _inst
 from repro.obs.profiling import profile
@@ -89,36 +94,16 @@ class Reader:
         Misdetection policy, one of :data:`POLICIES`.
     max_slots:
         Hard safety bound on inventory length (default ``10^7``).
-    packed:
-        Integer superposition fast path: instead of composing per-tag
-        :class:`BitVector` objects, each slot ORs the detector's
-        ``packed_bits``-wide integer payloads (CRC-CD's 96-bit
-        ``id ⊕ crc(id)`` included).  ``None`` (default) auto-selects: the
-        fast path runs whenever the detector and channel support it and
-        invariant checking is off (the checker needs the composed object
-        signal).  :mod:`repro.obs` does not force the object path: the
-        reader's metrics and trace read only the ``SlotRecord`` stream,
-        which is identical on every path.  ``True`` requires support
-        (ValueError otherwise) but still yields to invariant checking;
-        ``False`` always uses the object path.  Verdicts, RNG streams,
-        and channel statistics are identical on both paths.
-    frame_batched:
-        Frame-granular batching on top of the packed path: when the
-        protocol exports its whole frame schedule
-        (:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`),
-        the reader superposes, classifies and timestamps every slot of
-        the frame with numpy instead of looping slots in Python (in a
-        uint64 arena, or an object arena for payloads wider than 64
-        bits).  Subject to the same gate as ``packed`` (so invariants,
-        noisy channels and unpacked detectors all fall back), and
-        per-slot fallback also covers tree protocols and any frame the
-        protocol declines to export.  Under :mod:`repro.obs` a batched frame opens the same
-        ``frame`` span and records its slots in one bulk
-        :func:`~repro.obs.instruments.record_slots` call.  ``False``
-        keeps the per-slot loop even when batching is available
-        (benchmarks and differential tests isolate the tiers this way).
-        Traces, counters and span/event sequences are identical across
-        all three paths.
+
+    Each slot ORs the detector's ``packed_bits``-wide integer payloads
+    (CRC-CD's 96-bit ``id ⊕ crc(id)`` included).  A frame the protocol
+    exports runs batched: the reader superposes, classifies and
+    timestamps every slot of the frame with numpy (in a uint64 arena, or
+    an object arena for payloads wider than 64 bits) and opens the same
+    ``frame`` span and slot events under :mod:`repro.obs` as the per-slot
+    loop.  Tree protocols, frames the protocol declines to export, frames
+    that would cross ``max_slots`` and capturing channels run slot by
+    slot.  Invariant checking and observability change neither path.
     """
 
     def __init__(
@@ -128,8 +113,6 @@ class Reader:
         channel: Channel | None = None,
         policy: str = "paper",
         max_slots: int = 10_000_000,
-        packed: bool | None = None,
-        frame_batched: bool = True,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -138,43 +121,14 @@ class Reader:
         self.channel = channel if channel is not None else Channel()
         self.policy = policy
         self.max_slots = max_slots
-        self.packed = packed
-        self.frame_batched = frame_batched
         #: Reusable payload arena for the frame-batched path, grown
         #: geometrically and never shrunk: uint64 when the payloads fit a
         #: machine word, an object array of ints when they are wider.
         self._arena: np.ndarray | None = None
-        if packed and not self._packed_supported():
-            raise ValueError(
-                f"packed=True but {self.detector.name} / the channel "
-                "cannot run the packed path (detector.packed_bits is None "
-                "or the channel has noise/capture enabled)"
-            )
         if policy == "crc_guard" and not self.timing.guard_id_phase:
             raise ValueError(
                 "crc_guard policy requires TimingModel(guard_id_phase=True)"
             )
-
-    def _packed_supported(self) -> bool:
-        return (
-            self.detector.packed_bits is not None
-            and self.channel.supports_packed
-        )
-
-    def _use_packed(self) -> bool:
-        """Resolve the fast-path gate for one inventory.
-
-        Invariant checks observe the composed signal object, so enabling
-        them forces the object path regardless of ``packed`` -- with
-        identical slot verdicts, since both paths consume the same RNG
-        draws and compute the same superposition.  Observability does
-        not: it reads only the ``SlotRecord`` stream.
-        """
-        if self.packed is False:
-            return False
-        if _INV.enabled:
-            return False
-        return self._packed_supported()
 
     # ------------------------------------------------------------------
 
@@ -233,7 +187,6 @@ class Reader:
                     "run_inventory() instead"
                 ) from exc
         obs_on = _OBS.enabled
-        packed = self._use_packed()
         if obs_on:
             _OBS.tracer.start_span(
                 "inventory",
@@ -243,11 +196,10 @@ class Reader:
                 policy=self.policy,
                 n_tags=len(tags),
             )
-        # Frame-granular batching rides on the packed gate (which already
-        # excludes invariants, noise and capture); the protocol
-        # opts in per frame by exporting its schedule, so tree protocols
-        # and mid-frame states fall back to the per-slot loop below.
-        batch_frames = packed and self.frame_batched and protocol.framed
+        # A batched frame draws all its bit errors at once; capture draws
+        # interleave with them slot by slot, so capture runs per slot.
+        batch_frames = protocol.framed and not self.channel.capture_probability
+        bits = detector.packed_bits
         current_frame = 0
         index = 0
         try:
@@ -265,7 +217,7 @@ class Reader:
                                 )
                             first = len(trace)
                             time, index = self._run_frame(
-                                index, time, protocol, partition,
+                                index, time, protocol, partition, bits,
                                 identified, lost, trace,
                             )
                             if obs_on:
@@ -283,7 +235,7 @@ class Reader:
                         )
                     time, record = self._run_slot(
                         index, time, protocol, responders, identified, lost,
-                        packed,
+                        bits,
                     )
                     trace.append(record)
                     protocol.feedback(
@@ -328,6 +280,7 @@ class Reader:
         time: float,
         protocol: AntiCollisionProtocol,
         partition: list[Sequence[Tag]],
+        bits: int,
         identified: list[int],
         lost: list[int],
         trace: list[SlotRecord],
@@ -337,7 +290,8 @@ class Reader:
         Equivalent to ``len(partition)`` iterations of the per-slot loop:
         same RNG draws (each tag's payload is drawn from its private
         stream, and only a tag's own slot consumes it, so drawing the
-        frame upfront is stream-identical), same verdicts, counters and
+        frame upfront is stream-identical, and the channel draws the
+        frame's bit errors in per-slot order), same verdicts, counters and
         ``SlotRecord`` traces.  End times come from a prefix sum over the
         slot durations, which reproduces the sequential ``time +=
         duration`` left fold bit-exactly.
@@ -352,7 +306,7 @@ class Reader:
         arena = self._arena
         if arena is None or len(arena) < total:
             grown = 1024 if arena is None else 2 * len(arena)
-            dtype = np.uint64 if detector.packed_bits <= 64 else object
+            dtype = np.uint64 if bits <= 64 else object
             arena = self._arena = np.empty(max(total, grown), dtype)
         payload = detector.contention_payload_packed
         arena[:total] = [
@@ -361,7 +315,7 @@ class Reader:
             for tag in bucket
         ]
         superposed = self.channel.transmit_packed_many(
-            arena[:total], counts, detector.packed_bits
+            arena[:total], counts, bits
         )
         detected = detector.classify_packed_many(superposed, counts)
         counts_list = counts.tolist()
@@ -413,9 +367,9 @@ class Reader:
             effective = true_types.copy()
             effective[missed_slots] = int(SlotType.SINGLE)
         if false_collisions.any():
-            # Impossible for the noise-free packed detectors shipped
-            # here, but a custom classifier may misread a true single;
-            # the tag re-contends, exactly as record_effective feeds back.
+            # Bit errors (or a custom classifier) can misread a true
+            # single; the tag re-contends, exactly as record_effective
+            # feeds back.
             if effective is true_types:
                 effective = true_types.copy()
             effective[false_collisions] = int(SlotType.COLLIDED)
@@ -449,6 +403,14 @@ class Reader:
             )
             append(record)
             slot_index += 1
+        if _INV.enabled:
+            for record, n_resp, value in zip(
+                trace[len(trace) - frame_size:], counts_list,
+                superposed.tolist(),
+            ):
+                _check_slot(
+                    record, detector, timing, value if n_resp else None
+                )
         return end_times[-1], index + frame_size
 
     def _run_slot(
@@ -459,32 +421,18 @@ class Reader:
         responders: list[Tag],
         identified: list[int],
         lost: list[int],
-        packed: bool = False,
+        bits: int | None = None,
     ) -> tuple[float, SlotRecord]:
+        """One slot; ``bits`` is ``detector.packed_bits``, which a caller
+        running many slots reads once and passes in."""
         detector = self.detector
-        if packed:
-            # Packed fast path: integer payloads, integer OR, integer
-            # classification.  Same RNG draws, same verdicts, same channel
-            # statistics as the object path below.
-            values = [
-                detector.contention_payload_packed(t.tag_id, t.rng)
-                for t in responders
-            ]
-            signal = None
-            value = self.channel.transmit_packed(
-                values, detector.packed_bits
-            )
-            outcome = detector.classify_packed(value)
-        else:
-            payloads = [
-                detector.contention_payload(t.tag_id, t.rng)
-                for t in responders
-            ]
-            signal = self.channel.transmit(payloads)
-            if isinstance(detector, IdealDetector):
-                sole = responders[0].tag_id if len(responders) == 1 else None
-                detector.observe_transmitters(len(responders), sole)
-            outcome = detector.classify(signal)
+        if bits is None:
+            bits = detector.packed_bits
+        payload = detector.contention_payload_packed
+        value = self.channel.transmit_packed(
+            [payload(t.tag_id, t.rng) for t in responders], bits
+        )
+        outcome = detector.classify_packed(value, len(responders))
         true_type = _true_type(len(responders))
         detected = outcome.slot_type
         duration = self.timing.slot_duration(detector, detected)
@@ -531,11 +479,8 @@ class Reader:
             lost_tags=lost_count,
             captured=captured,
         )
-        if _INV.enabled and not packed:
-            # (The packed gate re-resolves per inventory, so a flag flip
-            # mid-run takes effect from the next inventory; the checker
-            # needs the composed object signal.)
-            _check_slot(record, detector, self.timing, signal)
+        if _INV.enabled:
+            _check_slot(record, detector, self.timing, value)
         if _OBS.enabled:
             _inst.record_slot(record)
         return time, record

@@ -32,6 +32,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.bits.bitvec import BitVector
 from repro.core.detector import SlotType
 from repro.core.qcd import QCDDetector
 from repro.obs import instruments as _inst
@@ -146,13 +147,13 @@ def _report(check: str, message: str) -> None:
         raise InvariantViolation(f"{check}: {message}")
 
 
-def check_slot(record, detector, timing, signal) -> None:
+def check_slot(record, detector, timing, value: int | None) -> None:
     """Per-slot invariants; called by the engines when the checker is on.
 
-    ``record`` is the freshly built :class:`~repro.sim.trace.SlotRecord`,
-    ``signal`` the superposed channel output the detector classified
+    ``record`` is the freshly built :class:`~repro.sim.trace.SlotRecord`
     (typed loosely so this module never imports :mod:`repro.sim`, which
-    imports it back).
+    imports it back), ``value`` the packed channel output the detector
+    classified (``None`` for an idle slot).
     """
     n = record.n_responders
     expected_true = (
@@ -178,11 +179,10 @@ def check_slot(record, detector, timing, signal) -> None:
         )
     if (
         record.detected_type is SlotType.SINGLE
-        and signal is not None
+        and value
         and isinstance(detector, QCDDetector)
-        and not signal.is_zero()
     ):
-        preamble = detector.codec.decode(signal)
+        preamble = detector.codec.decode(BitVector(value, detector.packed_bits))
         if not detector.codec.is_consistent(preamble):
             _report(
                 "qcd_preamble",

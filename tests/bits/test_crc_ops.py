@@ -43,7 +43,6 @@ from repro.core.timing import TimingModel
 from repro.protocols.bt import BinaryTree
 from repro.protocols.dfsa import DynamicFSA
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 
 GOLDEN_PATH = (
@@ -65,11 +64,12 @@ LENGTHS = (0, 1, 3, 5, 7, 8, 12, 16, 31, 32, 57, 64, 96, 139)
 MESSAGE_SEED = 2010
 
 #: 32-bit IDs with CRC-32 fill one 64-bit word, so all three Reader tiers
-#: (object, per-slot packed, frame-batched) really run.
+#: (the frozen object Reader, the live per-slot loop, frame-batched; see
+#: ``tier_reader`` in tests/conftest.py) run on a uint64 arena.
 N_TAGS = 40
 ID_BITS = 32
 POP_SEED = 1310
-TIERS = (("object", False, True), ("packed", True, False), ("batched", True, True))
+TIERS = ("object", "packed", "batched")
 PROTOCOLS = {
     "fsa": lambda: FramedSlottedAloha(32),
     "dfsa": lambda: DynamicFSA(initial_frame_size=16),
@@ -128,17 +128,14 @@ def _engine_entries() -> dict:
     return entries
 
 
-def _inventory_entries() -> dict:
+def _inventory_entries(make_reader) -> dict:
     entries = {}
     for proto_name, make_protocol in sorted(PROTOCOLS.items()):
-        for tier, packed, frame_batched in TIERS:
+        for tier in TIERS:
             detector = CRCCDDetector(id_bits=ID_BITS)
             pop = TagPopulation(N_TAGS, id_bits=ID_BITS, rng=make_rng(POP_SEED))
-            result = Reader(
-                detector,
-                TimingModel(id_bits=ID_BITS),
-                packed=packed,
-                frame_batched=frame_batched,
+            result = make_reader(
+                tier, detector, TimingModel(id_bits=ID_BITS)
             ).run_inventory(pop.tags, make_protocol())
             assert len(result.identified_ids) == N_TAGS
             entries[f"{proto_name}-{tier}"] = {
@@ -147,7 +144,7 @@ def _inventory_entries() -> dict:
     return entries
 
 
-def generate() -> dict:
+def generate(make_reader) -> dict:
     """Recompute everything the golden file pins."""
     return {
         "_config": {
@@ -159,7 +156,7 @@ def generate() -> dict:
             "row": "length message crc last_op_count",
         },
         "engine": _engine_entries(),
-        "inventory": _inventory_entries(),
+        "inventory": _inventory_entries(make_reader),
     }
 
 
@@ -172,8 +169,8 @@ class TestGolden:
     def test_engine_matches_golden(self, golden):
         assert _engine_entries() == golden["engine"]
 
-    def test_inventories_match_golden(self, golden):
-        assert _inventory_entries() == golden["inventory"]
+    def test_inventories_match_golden(self, golden, tier_reader):
+        assert _inventory_entries(tier_reader) == golden["inventory"]
 
     def test_golden_tiers_agree(self, golden):
         inv = golden["inventory"]
@@ -213,6 +210,12 @@ class TestDifferential:
 
 
 if __name__ == "__main__":
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from conftest import load_reference_reader, tier_reader_factory
+
+    doc = generate(tier_reader_factory(load_reference_reader()))
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(generate(), indent=1, sort_keys=True) + "\n")
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from repro.bits.rng import RngStream, make_rng
 from repro.core.timing import TimingModel
+from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
+
+#: The frozen per-slot object Reader, the live Reader's differential
+#: oracle.  It lives with the other frozen references under benchmarks/
+#: and is loaded by path, never imported from src/.
+REFERENCE_READER = (
+    Path(__file__).resolve().parents[1] / "benchmarks" / "_reference_reader.py"
+)
 
 # "ci" replays a fixed example sequence (derandomize) so CI failures are
 # reproducible and never flake on a fresh random draw; "dev" keeps the
@@ -43,3 +53,49 @@ def make_population(rng):
         return TagPopulation(size, id_bits=id_bits, rng=rng.child(), layout=layout)
 
     return _make
+
+
+def load_reference_reader():
+    spec = importlib.util.spec_from_file_location(
+        "_reference_reader", REFERENCE_READER
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def reference_reader():
+    """``benchmarks/_reference_reader.py``, loaded by path."""
+    return load_reference_reader()
+
+
+def tier_reader_factory(reference):
+    """``make(tier, *reader_args, **reader_kwargs)``: a Reader of one tier.
+
+    ``"object"`` is the frozen object Reader, ``"packed"`` the live Reader
+    with every protocol's frame partition withheld (so it runs slot by
+    slot) and ``"batched"`` the live Reader as is.
+    """
+
+    def make(tier, *args, **kwargs):
+        if tier == "object":
+            return reference.Reader(*args, **kwargs)
+        reader = Reader(*args, **kwargs)
+        if tier == "packed":
+            run = reader.run_inventory
+
+            def per_slot(tags, protocol, *run_args, **run_kwargs):
+                protocol.frame_partition = lambda: None
+                return run(tags, protocol, *run_args, **run_kwargs)
+
+            reader.run_inventory = per_slot
+        return reader
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def tier_reader(reference_reader):
+    """See :func:`tier_reader_factory`."""
+    return tier_reader_factory(reference_reader)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
 from repro.bits.bitvec import BitVector
+from repro.core.collision_function import IdentityFunction
 from repro.core.detector import SlotType
 from repro.core.qcd import QCDDetector
 from repro.verify.strategies import distinct_preamble_values
@@ -111,3 +115,23 @@ class TestInstrumentation:
         det.reset_instrumentation()
         assert det.classify_calls == 0
         assert det.function_evaluations == 0
+
+
+class TestAblationPackedForms:
+    """An ablation function runs the base class's BitVector-backed packed
+    forms, bound at construction; copies must keep that binding."""
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))]
+    )
+    def test_copies_keep_the_function(self, clone):
+        det = clone(QCDDetector(8, IdentityFunction()))
+        # r = 0b10101010 with its complement: consistent for the paper's
+        # function, inconsistent for the identity.
+        value = (0b10101010 << 8) | 0b01010101
+        assert det.classify_packed(value, 1).slot_type is SlotType.COLLIDED
+        assert det.classify_calls == 1
+        assert (
+            QCDDetector(8).classify_packed(value, 1).slot_type
+            is SlotType.SINGLE
+        )

@@ -20,8 +20,8 @@ FROZEN_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_bench(**TINY)
+def report(reference_reader):
+    return run_bench(frozen_reader=reference_reader, **TINY)
 
 
 class TestRunBench:
@@ -43,6 +43,14 @@ class TestRunBench:
         assert reader["packed_speedup"] > 0
         assert reader["batched_speedup"] > 0
         assert report["config"]["frozen_measured"] is False
+
+    def test_object_ratios_need_the_frozen_reader(self):
+        reader = run_bench(**TINY)["reader"]
+        assert set(reader) == {
+            "packed_ms",
+            "batched_ms",
+            "batched_speedup_vs_packed",
+        }
 
     def test_frozen_engines_measured_when_module_given(self):
         import sys
@@ -221,10 +229,36 @@ class TestCli:
                 "--rounds", "2", "--repeats", "1", "--reader-tags", "40",
                 "--out", str(out),
                 "--reader-baseline", str(baseline),
-                "--frozen-dir", str(tmp_path / "missing"),
+                "--frozen-dir", str(FROZEN_DIR),
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--reader-baseline"])
+    def test_baseline_without_frozen_reader_is_an_error(
+        self, tmp_path, capsys, flag
+    ):
+        """The reader ratios are speedups over the frozen object Reader,
+        and both baselines gate them; without it there is nothing to
+        gate, as for the kernels."""
+        frozen_dir = tmp_path / "frozen"
+        frozen_dir.mkdir()
+        (frozen_dir / "_reference_kernels.py").write_text(
+            (FROZEN_DIR / "_reference_kernels.py").read_text()
+        )
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"kernels": {}, "reader": {}}))
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "--out", str(tmp_path / "bench.json"),
+                    flag, str(baseline),
+                    "--frozen-dir", str(frozen_dir),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "_reference_reader.py" in capsys.readouterr().err
+        assert not (tmp_path / "bench.json").exists()
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])

@@ -1,8 +1,10 @@
-"""The exact Reader's three tiers under enabled observability.
+"""The exact Reader's tiers under enabled observability.
 
-With :mod:`repro.obs` on, the frame-batched and per-slot packed tiers
-must stay *observationally identical* to the object path
-(``packed=False``): the same ``SlotRecord`` trace, the same span/event
+With :mod:`repro.obs` on, the frame-batched path and the per-slot loop
+(the protocol's frame partition withheld) must stay *observationally
+identical* to the frozen object Reader
+(``benchmarks/_reference_reader.py``): the same ``SlotRecord`` trace, the
+same span/event
 sequence (type, name, attrs and parent, with wall-clock timestamps and
 span ids normalised away) and the same metrics registry (less the
 wall-clock ``repro_profile_seconds`` histogram).  The grid covers the
@@ -33,8 +35,9 @@ from repro.tags.population import TagPopulation
 #: 16-bit IDs keep CRC-CD's packed payload inside one machine word.
 ID_BITS = 16
 
-#: (packed, frame_batched): default tier, per-slot packed, object path.
-TIERS = ((None, True), (None, False), (False, True))
+#: Reader tiers (see ``tier_reader`` in tests/conftest.py): the default
+#: (frame-batched) Reader, the live per-slot loop, the object Reader.
+TIERS = ("batched", "packed", "object")
 
 PROTOCOLS = {
     "fsa": lambda: FramedSlottedAloha(32),
@@ -73,19 +76,19 @@ def _registry():
     return snapshot
 
 
-def _run_tier(protocol, detector, policy, n, seed, tier, max_slots=None):
+def _run_tier(
+    make_reader, protocol, detector, policy, n, seed, tier, max_slots=None
+):
     """One traced inventory; returns (result or error, records, registry)."""
-    packed, frame_batched = tier
     obs.reset()
     sink = RingBufferSink(capacity=1_000_000)
     obs.enable(sink=sink)
     pop = TagPopulation(n, id_bits=ID_BITS, rng=make_rng(seed))
-    reader = Reader(
+    reader = make_reader(
+        tier,
         DETECTORS[detector](),
         TimingModel(id_bits=ID_BITS),
         policy=policy,
-        packed=packed,
-        frame_batched=frame_batched,
         **({} if max_slots is None else {"max_slots": max_slots}),
     )
     try:
@@ -97,9 +100,13 @@ def _run_tier(protocol, detector, policy, n, seed, tier, max_slots=None):
     return outcome, _normalise(sink.records), _registry()
 
 
-def _assert_tiers_agree(protocol, detector, policy, n, seed, max_slots=None):
+def _assert_tiers_agree(
+    make_reader, protocol, detector, policy, n, seed, max_slots=None
+):
     runs = [
-        _run_tier(protocol, detector, policy, n, seed, tier, max_slots)
+        _run_tier(
+            make_reader, protocol, detector, policy, n, seed, tier, max_slots
+        )
         for tier in TIERS
     ]
     (ref, ref_records, ref_registry), *others = runs
@@ -121,8 +128,10 @@ def _assert_tiers_agree(protocol, detector, policy, n, seed, max_slots=None):
 
 @pytest.mark.parametrize("detector", ["qcd-8", "crc"])
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_tiers_agree_paper_policy(protocol, detector):
-    result, records, _ = _assert_tiers_agree(protocol, detector, "paper", 60, 3)
+def test_tiers_agree_paper_policy(tier_reader, protocol, detector):
+    result, records, _ = _assert_tiers_agree(
+        tier_reader, protocol, detector, "paper", 60, 3
+    )
     assert result.identified_ids
     assert any(r["name"] == "frame" for r in records)
     assert sum(r["name"] == "slot" for r in records) == len(result.trace)
@@ -131,14 +140,16 @@ def test_tiers_agree_paper_policy(protocol, detector):
 @pytest.mark.parametrize("detector", ["qcd-2", "qcd-4", "qcd-8"])
 @pytest.mark.parametrize("protocol", ["fsa", "dfsa"])
 @pytest.mark.parametrize("seed", [5, 11])
-def test_tiers_agree_lost_policy(protocol, detector, seed):
-    _assert_tiers_agree(protocol, detector, "lost", 80, seed)
+def test_tiers_agree_lost_policy(tier_reader, protocol, detector, seed):
+    _assert_tiers_agree(tier_reader, protocol, detector, "lost", 80, seed)
 
 
 @pytest.mark.parametrize("protocol", ["fsa", "dfsa"])
-def test_default_tier_batches_frames_under_obs(protocol, monkeypatch):
+def test_default_tier_batches_frames_under_obs(
+    tier_reader, protocol, monkeypatch
+):
     """The agreement above would hold trivially if enabling obs pushed
-    every tier onto the object path; the default tier must batch."""
+    every tier onto one path; the default tier must batch."""
     batched = []
     run_frame = Reader._run_frame
 
@@ -148,7 +159,7 @@ def test_default_tier_batches_frames_under_obs(protocol, monkeypatch):
 
     monkeypatch.setattr(Reader, "_run_frame", spy)
     result, records, _ = _run_tier(
-        protocol, "qcd-8", "paper", 60, 3, TIERS[0]
+        tier_reader, protocol, "qcd-8", "paper", 60, 3, TIERS[0]
     )
     assert batched
     frames = [r for r in records if r["name"] == "frame"]
@@ -157,10 +168,12 @@ def test_default_tier_batches_frames_under_obs(protocol, monkeypatch):
     )
 
 
-def test_lost_policy_fires_the_misdetection_counters():
+def test_lost_policy_fires_the_misdetection_counters(tier_reader):
     """The grid above is only meaningful if the counters it compares
     actually move: QCD-2 under ``"lost"`` misses collisions."""
-    result, _, registry = _assert_tiers_agree("fsa", "qcd-2", "lost", 80, 5)
+    result, _, registry = _assert_tiers_agree(
+        tier_reader, "fsa", "qcd-2", "lost", 80, 5
+    )
     assert result.lost_ids
     assert registry[inst.LOST]["samples"][0]["value"] == len(result.lost_ids)
     kinds = {
@@ -171,11 +184,11 @@ def test_lost_policy_fires_the_misdetection_counters():
 
 
 @pytest.mark.parametrize("protocol", ["fsa", "dfsa"])
-def test_max_slots_falls_back_mid_inventory(protocol):
+def test_max_slots_falls_back_mid_inventory(tier_reader, protocol):
     """A frame that no longer fits under ``max_slots`` runs slot by slot
     until the bound trips; spans still close and counters still agree."""
     error, records, registry = _assert_tiers_agree(
-        protocol, "qcd-8", "paper", 80, 7, max_slots=50
+        tier_reader, protocol, "qcd-8", "paper", 80, 7, max_slots=50
     )
     assert isinstance(error, RuntimeError)
     assert sum(r["name"] == "slot" for r in records) == 50

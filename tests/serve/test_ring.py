@@ -18,6 +18,13 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.serve.ring import DEFAULT_VNODES, EmptyRingError, HashRing
 
@@ -173,3 +180,113 @@ class TestRingProperties:
             return max(abs(spread.get(n, 0) - fair) for n in nodes)
 
         assert max_dev(DEFAULT_VNODES) <= max_dev(1)
+
+
+#: Backend ids the state machine draws from: few enough that adds hit
+#: existing members and removes hit absent ones.
+POOL = ("b0", "b1", "b2", "b3", "b4")
+MACHINE_KEYS = KEYS[:200]
+
+
+class RingMachine(RuleBasedStateMachine):
+    """Random add/remove sequences over one ring, including ejecting a
+    node and bringing it back.
+
+    The ring is checked against a plain set of members: every key lands
+    on a member, a removal moves only the removed node's keys, an
+    addition moves keys only onto the new node, re-adding a node (and
+    in general returning to any member set seen before) restores the
+    earlier owners exactly, ``owners(k, n)`` is ``min(n, len(nodes))``
+    distinct members led by ``owner(k)``, and an empty ring raises.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ring = HashRing(vnodes=32)
+        self.members: set[str] = set()
+        #: member set -> the placement observed for it.
+        self.seen: dict[frozenset[str], dict[str, str]] = {}
+
+    def _placement(self) -> dict[str, str] | None:
+        if not self.members:
+            return None
+        return {key: self.ring.owner(key) for key in MACHINE_KEYS}
+
+    @initialize(nodes=st.sets(st.sampled_from(POOL), max_size=3))
+    def start(self, nodes):
+        for node in sorted(nodes):
+            self.ring.add(node)
+        self.members = set(nodes)
+
+    @rule(node=st.sampled_from(POOL))
+    def add(self, node):
+        before = self._placement()
+        assert self.ring.add(node) is (node not in self.members)
+        self.members.add(node)
+        after = self._placement()
+        if before is not None:
+            moved = {k for k in MACHINE_KEYS if after[k] != before[k]}
+            assert {after[k] for k in moved} <= {node}
+
+    @rule(node=st.sampled_from(POOL))
+    def remove(self, node):
+        before = self._placement()
+        assert self.ring.remove(node) is (node in self.members)
+        self.members.discard(node)
+        after = self._placement()
+        if after is not None:
+            for key in MACHINE_KEYS:
+                if before[key] != node:
+                    assert after[key] == before[key]
+                else:
+                    assert after[key] != node
+
+    @precondition(lambda self: self.members)
+    @rule(data=st.data())
+    def eject_and_return(self, data):
+        """The router's eject-then-heal cycle: placement is restored."""
+        node = data.draw(st.sampled_from(sorted(self.members)))
+        before = self._placement()
+        self.ring.remove(node)
+        self.ring.add(node)
+        assert self._placement() == before
+
+    @invariant()
+    def nodes_mirror_members(self):
+        assert self.ring.nodes == frozenset(self.members)
+        assert len(self.ring) == len(self.members)
+
+    @invariant()
+    def placement_depends_on_members_only(self):
+        placement = self._placement()
+        if placement is None:
+            return
+        assert set(placement.values()) <= self.members
+        expected = self.seen.setdefault(frozenset(self.members), placement)
+        assert placement == expected
+
+    @invariant()
+    def owners_are_distinct_members(self):
+        for key in MACHINE_KEYS[:20]:
+            for n in range(1, len(POOL) + 2):
+                if not self.members:
+                    with pytest.raises(EmptyRingError):
+                        self.ring.owners(key, n)
+                    continue
+                owners = self.ring.owners(key, n)
+                assert len(owners) == min(n, len(self.members))
+                assert len(set(owners)) == len(owners)
+                assert set(owners) <= self.members
+                assert owners[0] == self.ring.owner(key)
+
+    @invariant()
+    def empty_ring_raises(self):
+        if not self.members:
+            with pytest.raises(EmptyRingError):
+                self.ring.owner("anything")
+
+
+RingMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=15, deadline=None
+)
+TestRingStateMachine = RingMachine.TestCase

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bits.bitvec import BitVector
 from repro.bits.channel import Channel
 from repro.bits.rng import make_rng
 from repro.core.qcd import QCDDetector
@@ -27,14 +26,13 @@ class TestChannelCapture:
 
     def test_no_capture_on_single(self):
         ch = Channel(capture_probability=1.0, rng=make_rng(1))
-        v = BitVector(5, 8)
-        assert ch.transmit([v]) == v
+        assert ch.transmit_packed([5], 8) == 5
         assert ch.last_capture_index is None
 
     def test_certain_capture_returns_one_signal(self):
         ch = Channel(capture_probability=1.0, rng=make_rng(1))
-        a, b = BitVector(0b0001, 4), BitVector(0b1000, 4)
-        out = ch.transmit([a, b])
+        a, b = 0b0001, 0b1000
+        out = ch.transmit_packed([a, b], 4)
         assert out in (a, b)
         assert ch.last_capture_index in (0, 1)
         assert out == [a, b][ch.last_capture_index]
@@ -42,8 +40,7 @@ class TestChannelCapture:
 
     def test_zero_capture_always_superposes(self):
         ch = Channel()
-        a, b = BitVector(0b0001, 4), BitVector(0b1000, 4)
-        assert ch.transmit([a, b]) == BitVector(0b1001, 4)
+        assert ch.transmit_packed([0b0001, 0b1000], 4) == 0b1001
         assert ch.last_capture_index is None
 
     def test_falloff_reduces_capture_with_m(self):
@@ -52,9 +49,9 @@ class TestChannelCapture:
                 capture_probability=0.8, capture_falloff=0.5, rng=make_rng(9)
             )
             hits = 0
-            sigs = [BitVector(1 << i, 16) for i in range(m)]
+            sigs = [1 << i for i in range(m)]
             for _ in range(trials):
-                ch.transmit(sigs)
+                ch.transmit_packed(sigs, 16)
                 hits += ch.last_capture_index is not None
             return hits / trials
 
@@ -62,9 +59,9 @@ class TestChannelCapture:
 
     def test_flag_cleared_between_slots(self):
         ch = Channel(capture_probability=1.0, rng=make_rng(1))
-        ch.transmit([BitVector(1, 4), BitVector(2, 4)])
+        ch.transmit_packed([1, 2], 4)
         assert ch.last_capture_index is not None
-        ch.transmit([BitVector(1, 4)])
+        ch.transmit_packed([1], 4)
         assert ch.last_capture_index is None
 
 

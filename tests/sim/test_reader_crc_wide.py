@@ -3,7 +3,8 @@
 With 64-bit IDs and CRC-32 a tag's ``id ⊕ crc(id)`` is 96 bits, wider
 than a machine word.  The packed tiers carry it as a Python int (the
 frame-batched tier in an object arena), and they must stay
-*observationally identical* to the object path (``packed=False``): the
+*observationally identical* to the frozen object Reader
+(``benchmarks/_reference_reader.py``): the
 same ``SlotRecord`` trace, identified and lost IDs, CRC counters
 (``classify_calls``, ``crc_computations``, ``crc_ops_total``) and
 ``ChannelStats`` -- and, with :mod:`repro.obs` on, the same spans,
@@ -27,12 +28,12 @@ from repro.protocols.bt import BinaryTree
 from repro.protocols.dfsa import DynamicFSA
 from repro.protocols.fsa import FramedSlottedAloha
 from repro.protocols.qt import QueryTree
-from repro.sim.reader import POLICIES, Reader
+from repro.sim.reader import POLICIES
 from repro.tags.population import TagPopulation
 
-#: (packed, frame_batched): object path (the reference), per-slot
-#: packed, frame-batched.
-TIERS = ((False, True), (None, False), (None, True))
+#: Reader tiers (see ``tier_reader`` in tests/conftest.py): the object
+#: Reader (the reference), the live per-slot loop, frame-batched.
+TIERS = ("object", "packed", "batched")
 
 #: (protocol factory, population size): framed protocols batch, tree
 #: protocols always run slot by slot.  BT's first slot holds all 40
@@ -70,19 +71,18 @@ def _normalise(records):
     return out
 
 
-def _run_tier(protocol, id_bits, crc_spec, policy, n, seed, tier, traced):
+def _run_tier(
+    make_reader, protocol, id_bits, crc_spec, policy, n, seed, tier, traced
+):
     """One inventory on one tier; returns everything the tiers must share."""
-    packed, frame_batched = tier
     factory, _ = PROTOCOLS[protocol]
     detector = CRCCDDetector(id_bits=id_bits, crc_spec=crc_spec)
-    reader = Reader(
+    reader = make_reader(
+        tier,
         detector,
         TimingModel(id_bits=id_bits, guard_id_phase=policy == "crc_guard"),
         policy=policy,
-        packed=packed,
-        frame_batched=frame_batched,
     )
-    assert reader._use_packed() is (packed is None)
     pop = TagPopulation(n, id_bits=id_bits, rng=make_rng(seed))
     sink = RingBufferSink(capacity=1_000_000)
     if traced:
@@ -107,14 +107,19 @@ def _run_tier(protocol, id_bits, crc_spec, policy, n, seed, tier, traced):
         "channel": reader.channel.stats,
         "records": _normalise(sink.records),
         "registry": registry,
-        "arena": reader._arena,
+        "arena": getattr(reader, "_arena", None),
     }
 
 
-def _assert_tiers_agree(protocol, id_bits, crc_spec, policy, seed, traced):
+def _assert_tiers_agree(
+    make_reader, protocol, id_bits, crc_spec, policy, seed, traced
+):
     n = PROTOCOLS[protocol][1]
     runs = [
-        _run_tier(protocol, id_bits, crc_spec, policy, n, seed, tier, traced)
+        _run_tier(
+            make_reader, protocol, id_bits, crc_spec, policy, n, seed, tier,
+            traced,
+        )
         for tier in TIERS
     ]
     ref = runs[0]
@@ -137,9 +142,10 @@ def _assert_tiers_agree(protocol, id_bits, crc_spec, policy, seed, traced):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 @pytest.mark.parametrize("id_bits", [64, 96])
-def test_crc32_tiers_identical(protocol, id_bits, policy):
+def test_crc32_tiers_identical(tier_reader, protocol, id_bits, policy):
     ref = _assert_tiers_agree(
-        protocol, id_bits, CRC32_IEEE, policy, seed=id_bits, traced=False
+        tier_reader, protocol, id_bits, CRC32_IEEE, policy, seed=id_bits,
+        traced=False,
     )
     assert ref["crc"][1] > 0
 
@@ -147,21 +153,24 @@ def test_crc32_tiers_identical(protocol, id_bits, policy):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 @pytest.mark.parametrize("id_bits", [64, 96])
-def test_crc32_tiers_identical_under_obs(protocol, id_bits, policy):
+def test_crc32_tiers_identical_under_obs(
+    tier_reader, protocol, id_bits, policy
+):
     ref = _assert_tiers_agree(
-        protocol, id_bits, CRC32_IEEE, policy, seed=id_bits + 1, traced=True
+        tier_reader, protocol, id_bits, CRC32_IEEE, policy,
+        seed=id_bits + 1, traced=True,
     )
     assert ref["records"]
     assert ref["registry"]
 
 
 @pytest.mark.parametrize("traced", [False, True])
-def test_crc5_lost_tags_on_object_arena(traced):
+def test_crc5_lost_tags_on_object_arena(tier_reader, traced):
     """CRC-5 over a 64-bit ID is 69 bits, so the frame-batched tier runs
     in an object arena, and 1/32 of collisions pass the check: the
     ``lost`` policy's branch of ``_run_frame`` must retire exactly the
-    tags the object path retires."""
+    tags the object Reader retires."""
     ref = _assert_tiers_agree(
-        "fsa", 64, CRC5_EPC, "lost", seed=3, traced=traced
+        tier_reader, "fsa", 64, CRC5_EPC, "lost", seed=3, traced=traced
     )
     assert ref["lost"]

@@ -3,8 +3,9 @@
 The frame-batched fast path must be *indistinguishable* from the per-slot
 paths: every ``SlotRecord`` field, the identified/lost ID lists, the
 aggregate stats, the channel counters and the protocol's final state must
-match the object path (``packed=False``) and the per-slot packed path
-(``frame_batched=False``) bit for bit.  The grid is FSA/DFSA × QCD/CRC-CD
+match the frozen object Reader (``benchmarks/_reference_reader.py``) and
+the live per-slot loop (the protocol's frame partition withheld) bit for
+bit.  The grid is FSA/DFSA × QCD/CRC-CD
 × all three misdetection policies, with populations drawn from
 ``repro.verify.strategies`` (edges n = 0, 1, 2 included).
 """
@@ -20,7 +21,6 @@ from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.protocols.dfsa import DynamicFSA
 from repro.protocols.fsa import FramedSlottedAloha
-from repro.sim.reader import Reader
 from repro.tags.population import TagPopulation
 from repro.verify.strategies import (
     adequate_frame,
@@ -31,8 +31,9 @@ from repro.verify.strategies import (
 #: 16-bit IDs keep CRC-CD's packed id ⊕ crc(id) payload inside one word.
 ID_BITS = 16
 
-#: (packed, frame_batched) per tier; the object tier is the reference.
-TIERS = ((False, True), (True, False), (True, True))
+#: Reader tiers (see ``tier_reader`` in tests/conftest.py); the object
+#: tier is the reference.
+TIERS = ("object", "packed", "batched")
 
 DETECTORS = {
     "qcd8": lambda: QCDDetector(8),
@@ -54,15 +55,9 @@ def _timing(policy: str) -> TimingModel:
     )
 
 
-def _run_tier(pop_factory, protocol, detector, policy, packed, frame_batched):
+def _run_tier(make_reader, tier, pop_factory, protocol, detector, policy):
     pop = pop_factory()
-    reader = Reader(
-        detector,
-        _timing(policy),
-        policy=policy,
-        packed=packed,
-        frame_batched=frame_batched,
-    )
+    reader = make_reader(tier, detector, _timing(policy), policy=policy)
     result = reader.run_inventory(pop.tags, protocol)
     return result, reader.channel.stats, protocol
 
@@ -85,64 +80,64 @@ def _assert_identical(reference, other, label: str):
 @settings(max_examples=12, deadline=None)
 @given(pop_factory=population_factories(), slack=frame_slacks(16))
 def test_trace_identity_across_tiers(
-    proto_name, det_name, policy, pop_factory, slack
+    tier_reader, proto_name, det_name, policy, pop_factory, slack
 ):
     n = len(pop_factory())
     runs = [
         _run_tier(
+            tier_reader,
+            tier,
             pop_factory,
             PROTOCOLS[proto_name](n, slack),
             DETECTORS[det_name](),
             policy,
-            packed,
-            frame_batched,
         )
-        for packed, frame_batched in TIERS
+        for tier in TIERS
     ]
     for tier, run in zip(TIERS[1:], runs[1:]):
         _assert_identical(runs[0], run, f"{proto_name}/{det_name}/{tier}")
 
 
 @pytest.mark.parametrize("termination", ("confirm", "frame", "immediate"))
-def test_fsa_termination_modes_identical(termination):
+def test_fsa_termination_modes_identical(tier_reader, termination):
     """All FSA termination modes stay tier-identical -- ``immediate``
     declines frame batching (mid-frame truncation would desynchronize
     the upfront frame accounting) and must fall back transparently."""
     runs = [
         _run_tier(
+            tier_reader,
+            tier,
             lambda: TagPopulation(23, id_bits=ID_BITS, rng=make_rng(404)),
             FramedSlottedAloha(8, termination=termination),
             QCDDetector(8),
             "paper",
-            packed,
-            frame_batched,
         )
-        for packed, frame_batched in TIERS
+        for tier in TIERS
     ]
     for tier, run in zip(TIERS[1:], runs[1:]):
         _assert_identical(runs[0], run, f"{termination}/{tier}")
 
 
-def test_dfsa_adaptation_history_identical():
+def test_dfsa_adaptation_history_identical(tier_reader):
     """Frame-level feedback must drive the Schoute estimator through the
     exact same frame-size decisions as per-slot feedback."""
     histories = []
-    for packed, frame_batched in TIERS:
+    for tier in TIERS:
         protocol = DynamicFSA(initial_frame_size=4)
         _run_tier(
+            tier_reader,
+            tier,
             lambda: TagPopulation(31, id_bits=ID_BITS, rng=make_rng(77)),
             protocol,
             QCDDetector(8),
             "paper",
-            packed,
-            frame_batched,
         )
         histories.append(protocol.adaptation_history)
     assert histories[1] == histories[0]
     assert histories[2] == histories[0]
 
 
-def test_detector_counters_identical():
+def test_detector_counters_identical(tier_reader):
     """classify_packed_many must advance the instrumentation counters
     exactly as per-slot classification does, for QCD and CRC-CD."""
     for det_name, counter_names in (
@@ -150,15 +145,15 @@ def test_detector_counters_identical():
         ("crc", ("classify_calls", "crc_computations", "crc_ops_total")),
     ):
         counters = []
-        for packed, frame_batched in TIERS:
+        for tier in TIERS:
             detector = DETECTORS[det_name]()
             _run_tier(
+                tier_reader,
+                tier,
                 lambda: TagPopulation(29, id_bits=ID_BITS, rng=make_rng(55)),
                 FramedSlottedAloha(16),
                 detector,
                 "paper",
-                packed,
-                frame_batched,
             )
             counters.append(
                 {name: getattr(detector, name) for name in counter_names}

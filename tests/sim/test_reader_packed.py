@@ -1,11 +1,13 @@
-"""The exact Reader's uint64 fast path vs the object path.
+"""The exact Reader's packed per-slot loop vs the frozen object Reader.
 
-The packed path replaces BitVector payloads with machine-word integers
-(QCD's ``r ⊕ r̄`` fits in ``2l <= 64`` bits) and the channel's Boolean
-sum with ``np.bitwise_or.reduce`` -- but it must be *observationally
-identical*: same RNG consumption, same slot verdicts, same stats, same
-channel accounting.  These tests pin that equivalence and the gating
-rules (invariant checking forces the object path; tracing does not).
+The live Reader runs every slot on integer payloads (QCD's ``r ⊕ r̄``,
+CRC-CD's ``id ⊕ crc(id)``) and the channel's Boolean sum as an int OR --
+but it must be *observationally identical* to the per-slot object Reader
+frozen in ``benchmarks/_reference_reader.py``: same RNG consumption, same
+slot verdicts, same stats, same channel accounting.  These tests pin that
+equivalence on the per-slot loop (the protocol's frame partition
+withheld) and that neither tracing nor invariant checking moves a framed
+inventory off the frame-batched path.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.bits.channel import Channel
 from repro.bits.rng import make_rng
-from repro.core.collision_function import IdentityFunction
 from repro.core.crc_cd import CRCCDDetector
 from repro.core.qcd import QCDDetector
 from repro.protocols.bt import BinaryTree
@@ -27,11 +27,9 @@ from repro.tags.population import TagPopulation
 from repro.verify import invariants
 
 
-def run(detector, timing, protocol_factory, n, seed, packed):
+def run(reader, timing, protocol_factory, n, seed):
     pop = TagPopulation(n, id_bits=timing.id_bits, rng=make_rng(seed))
-    reader = Reader(detector, timing, packed=packed)
-    res = reader.run_inventory(pop.tags, protocol_factory())
-    return reader, res
+    return reader, reader.run_inventory(pop.tags, protocol_factory())
 
 
 def assert_identical(res_a, res_b):
@@ -43,6 +41,20 @@ def assert_identical(res_a, res_b):
         assert ra == rb
 
 
+def tier_calls(monkeypatch):
+    """Count entries into the Reader's frame and slot paths."""
+    calls = dict.fromkeys(("_run_frame", "_run_slot"), 0)
+    for name in calls:
+        real = getattr(Reader, name)
+
+        def counted(self, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Reader, name, counted)
+    return calls
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("strength", [2, 8, 16])
     @pytest.mark.parametrize(
@@ -50,22 +62,26 @@ class TestEquivalence:
     )
     @pytest.mark.parametrize("n", [0, 1, 37])
     def test_packed_matches_object_path(
-        self, strength, protocol_factory, n, timing
+        self, strength, protocol_factory, n, timing, tier_reader
     ):
         _, a = run(
-            QCDDetector(strength), timing, protocol_factory, n, 31, True
+            tier_reader("packed", QCDDetector(strength), timing),
+            timing, protocol_factory, n, 31,
         )
         _, b = run(
-            QCDDetector(strength), timing, protocol_factory, n, 31, False
+            tier_reader("object", QCDDetector(strength), timing),
+            timing, protocol_factory, n, 31,
         )
         assert_identical(a, b)
 
-    def test_detector_counters_match(self, timing):
+    def test_detector_counters_match(self, timing, tier_reader):
         ra, _ = run(
-            QCDDetector(8), timing, lambda: FramedSlottedAloha(16), 37, 32, True
+            tier_reader("packed", QCDDetector(8), timing),
+            timing, lambda: FramedSlottedAloha(16), 37, 32,
         )
         rb, _ = run(
-            QCDDetector(8), timing, lambda: FramedSlottedAloha(16), 37, 32, False
+            tier_reader("object", QCDDetector(8), timing),
+            timing, lambda: FramedSlottedAloha(16), 37, 32,
         )
         assert ra.detector.classify_calls == rb.detector.classify_calls
         assert (
@@ -73,100 +89,76 @@ class TestEquivalence:
             == rb.detector.function_evaluations
         )
 
-    def test_channel_stats_match(self, timing):
-        ra, _ = run(QCDDetector(8), timing, BinaryTree, 37, 33, True)
-        rb, _ = run(QCDDetector(8), timing, BinaryTree, 37, 33, False)
+    def test_channel_stats_match(self, timing, tier_reader):
+        ra, _ = run(
+            tier_reader("packed", QCDDetector(8), timing),
+            timing, BinaryTree, 37, 33,
+        )
+        rb, _ = run(
+            tier_reader("object", QCDDetector(8), timing),
+            timing, BinaryTree, 37, 33,
+        )
         assert dataclasses.asdict(ra.channel.stats) == dataclasses.asdict(
             rb.channel.stats
         )
 
 
 class TestGating:
-    def test_auto_gate_uses_packed_when_supported(self, timing):
-        assert Reader(QCDDetector(8), timing)._use_packed()
-
-    def test_auto_gate_uses_packed_for_wide_crc(self, timing):
-        """CRC-CD's 96-bit ``id ⊕ crc(id)`` at the paper's layout runs
-        the packed path as a plain int (tests/sim/test_reader_crc_wide.py
-        pins the tiers identical)."""
-        reader = Reader(CRCCDDetector(id_bits=64), timing)
-        assert reader.detector.packed_bits == 96
-        assert reader._use_packed()
-
-    def test_auto_gate_falls_back_without_packed_form(self, timing):
-        """An ablation collision function has no packed form."""
-        reader = Reader(QCDDetector(8, IdentityFunction()), timing)
-        assert not reader._use_packed()
-
-    def test_auto_gate_falls_back_for_noisy_channel(self, timing, rng):
-        reader = Reader(
-            QCDDetector(8),
-            timing,
-            channel=Channel(bit_error_rate=0.1, rng=rng.child()),
+    def test_auto_gate_uses_packed_when_supported(self, timing, monkeypatch):
+        """A framed QCD inventory runs every frame batched."""
+        calls = tier_calls(monkeypatch)
+        _, result = run(
+            Reader(QCDDetector(8), timing),
+            timing, lambda: FramedSlottedAloha(16), 37, 31,
         )
-        assert not reader._use_packed()
+        assert calls == {"_run_frame": result.stats.frames, "_run_slot": 0}
 
-    def test_tracing_keeps_packed_path(self, timing):
+    def test_auto_gate_uses_packed_for_wide_crc(self, timing, monkeypatch):
+        """CRC-CD's 96-bit ``id ⊕ crc(id)`` at the paper's layout batches
+        in an object arena (tests/sim/test_reader_crc_wide.py pins the
+        tiers identical)."""
+        calls = tier_calls(monkeypatch)
+        reader, _ = run(
+            Reader(CRCCDDetector(id_bits=64), timing),
+            timing, lambda: FramedSlottedAloha(16), 37, 31,
+        )
+        assert reader.detector.packed_bits == 96
+        assert reader._arena.dtype == object
+        assert calls["_run_frame"] > 0 and calls["_run_slot"] == 0
+
+    def test_tracing_keeps_packed_path(self, timing, monkeypatch):
         """Observability reads only the SlotRecord stream, so enabling it
-        leaves the fast path on (tests/obs/test_reader_obs_paths.py pins
-        that every tier then traces and counts identically)."""
+        (with or without invariant checking) leaves frames batched
+        (tests/obs/test_reader_obs_paths.py pins that every tier then
+        traces and counts identically)."""
+        calls = tier_calls(monkeypatch)
         obs.enable()
         try:
-            assert Reader(QCDDetector(8), timing)._use_packed()
+            run(
+                Reader(QCDDetector(8), timing),
+                timing, lambda: FramedSlottedAloha(16), 37, 31,
+            )
             with invariants.checking():
-                assert not Reader(QCDDetector(8), timing)._use_packed()
+                run(
+                    Reader(QCDDetector(8), timing),
+                    timing, lambda: FramedSlottedAloha(16), 37, 31,
+                )
         finally:
             obs.disable()
             invariants.reset()
-
-    def test_invariants_force_object_path(self, timing):
-        with invariants.checking():
-            assert not Reader(QCDDetector(8), timing)._use_packed()
-        invariants.reset()
-
-    def test_packed_false_forces_object_path(self, timing):
-        assert not Reader(QCDDetector(8), timing, packed=False)._use_packed()
-
-    def test_packed_true_requires_support(self, timing, rng):
-        with pytest.raises(ValueError, match="packed"):
-            Reader(QCDDetector(8, IdentityFunction()), timing, packed=True)
-        with pytest.raises(ValueError, match="packed"):
-            Reader(
-                QCDDetector(8),
-                timing,
-                channel=Channel(bit_error_rate=0.1, rng=rng.child()),
-                packed=True,
-            )
-
-    def test_packed_true_yields_only_to_invariants(self, timing):
-        """Explicit ``packed=True`` must not silently skip invariant
-        checks -- they win, with identical verdicts either way -- while
-        tracing alone keeps the fast path."""
-        reader = Reader(QCDDetector(8), timing, packed=True)
-        obs.enable()
-        try:
-            assert reader._use_packed()
-        finally:
-            obs.disable()
-        with invariants.checking():
-            assert not reader._use_packed()
-        invariants.reset()
-        assert reader._use_packed()
+        assert calls["_run_frame"] > 0 and calls["_run_slot"] == 0
 
     def test_verdicts_survive_gate_flip(self, timing):
-        """Enabling invariants mid-experiment flips the gate but not the
-        outcome: the object path replays the identical inventory."""
+        """Enabling invariants mid-experiment changes no outcome: the
+        checked run replays the identical inventory."""
         _, a = run(
-            QCDDetector(4), timing, lambda: FramedSlottedAloha(8), 21, 34, None
+            Reader(QCDDetector(4), timing),
+            timing, lambda: FramedSlottedAloha(8), 21, 34,
         )
         with invariants.checking():
             _, b = run(
-                QCDDetector(4),
-                timing,
-                lambda: FramedSlottedAloha(8),
-                21,
-                34,
-                None,
+                Reader(QCDDetector(4), timing),
+                timing, lambda: FramedSlottedAloha(8), 21, 34,
             )
         invariants.reset()
         assert_identical(a, b)

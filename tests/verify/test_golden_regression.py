@@ -60,8 +60,12 @@ def _population():
     return TagPopulation(N_TAGS, id_bits=64, rng=make_rng(SEED))
 
 
-def generate() -> dict:
-    """Recompute the pinned distributions (the golden file's source)."""
+def generate(make_reader) -> dict:
+    """Recompute the pinned distributions (the golden file's source).
+
+    ``make_reader(tier, ...)`` builds one Reader tier (see
+    ``tier_reader`` in tests/conftest.py).
+    """
     timing = TimingModel()
     out = {
         "_config": {
@@ -82,24 +86,16 @@ def generate() -> dict:
     )
     out["reader-bt"] = _counts(res.stats)
 
-    # The Reader's three tiers pinned separately: the object path, the
-    # per-slot uint64 path, and the frame-batched path must all land on
+    # Three Reader tiers pinned separately: the frozen object Reader, the
+    # live per-slot loop, and the frame-batched path must all land on
     # these exact counts (the tier entries are identical by construction
     # -- the equality itself is part of what the golden file pins).
-    for label, packed, frame_batched in (
-        ("object", False, True),
-        ("packed", True, False),
-        ("batched", True, True),
-    ):
-        res = Reader(
-            QCDDetector(STRENGTH), timing, packed=packed,
-            frame_batched=frame_batched,
-        ).run_inventory(_population().tags, FramedSlottedAloha(FRAME))
+    for label in ("object", "packed", "batched"):
+        res = make_reader(label, QCDDetector(STRENGTH), timing).run_inventory(
+            _population().tags, FramedSlottedAloha(FRAME)
+        )
         out[f"reader-fsa-{label}"] = _counts(res.stats)
-        res = Reader(
-            QCDDetector(STRENGTH), timing, packed=packed,
-            frame_batched=frame_batched,
-        ).run_inventory(
+        res = make_reader(label, QCDDetector(STRENGTH), timing).run_inventory(
             _population().tags, DynamicFSA(initial_frame_size=FRAME)
         )
         out[f"reader-dfsa-{label}"] = _counts(res.stats)
@@ -122,9 +118,9 @@ def generate() -> dict:
 
 
 class TestGoldenDistribution:
-    def test_matches_golden_file_exactly(self):
+    def test_matches_golden_file_exactly(self, tier_reader):
         golden = json.loads(GOLDEN_PATH.read_text())
-        assert generate() == golden
+        assert generate(tier_reader) == golden
 
     def test_golden_file_is_self_consistent(self):
         """Sanity on the pinned numbers themselves: totals partition and
@@ -151,6 +147,12 @@ class TestGoldenDistribution:
 
 
 if __name__ == "__main__":
+    import sys
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from conftest import load_reference_reader, tier_reader_factory
+
+    doc = generate(tier_reader_factory(load_reference_reader()))
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(json.dumps(generate(), indent=2, sort_keys=True) + "\n")
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

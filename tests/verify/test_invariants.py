@@ -9,6 +9,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro import obs
+from repro.bits.bitvec import BitVector
+from repro.core.collision_function import IdentityFunction
+from repro.core.crc_cd import CRCCDDetector
 from repro.core.detector import SlotType
 from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
@@ -181,22 +184,76 @@ class TestCheckSlot:
     def test_inconsistent_qcd_preamble(self):
         """A single verdict over an all-ones signal: r = c = 1^8 fails
         c == f(r), the checker must flag it."""
-        from repro.bits.bitvec import BitVector
-
         invariants.enable(strict=False)
         rec = good_record(self.detector, self.timing)
-        check_slot(rec, self.detector, self.timing, BitVector.ones(16))
+        check_slot(rec, self.detector, self.timing, 0xFFFF)
         assert [v.check for v in invariants.STATE.violations] == [
             "qcd_preamble"
         ]
 
     def test_consistent_qcd_preamble_clean(self):
-        from repro.bits.bitvec import BitVector
-
         invariants.enable(strict=True)
         rec = good_record(self.detector, self.timing)
-        signal = self.detector.codec.encode(BitVector(0x42, 8))
-        check_slot(rec, self.detector, self.timing, signal)
+        value = self.detector.codec.encode(BitVector(0x42, 8)).to_int()
+        assert value == 0x42BD
+        check_slot(rec, self.detector, self.timing, value)
+        assert invariants.STATE.violations == []
+
+    def test_zero_value_skips_preamble_check(self):
+        """An all-zero signal carries no preamble to check (QCD reads it
+        as idle); only the other invariants apply."""
+        invariants.enable(strict=True)
+        rec = good_record(self.detector, self.timing)
+        check_slot(rec, self.detector, self.timing, 0)
+        assert invariants.STATE.violations == []
+
+    def test_collided_verdict_skips_preamble_check(self):
+        invariants.enable(strict=True)
+        rec = good_record(
+            self.detector,
+            self.timing,
+            n_responders=2,
+            true_type=SlotType.COLLIDED,
+            detected_type=SlotType.COLLIDED,
+        )
+        rec.duration = self.timing.slot_duration(
+            self.detector, SlotType.COLLIDED
+        )
+        check_slot(rec, self.detector, self.timing, 0xFFFF)
+        assert invariants.STATE.violations == []
+
+    def test_qcd_ablation_function_checked_with_its_own_f(self):
+        """Under the identity function ``c == f(r)`` means ``c == r``: the
+        checker rebuilds the preamble and applies the detector's own
+        function, so 0x4242 passes and the complement layout fails."""
+        detector = QCDDetector(8, IdentityFunction())
+        invariants.enable(strict=False)
+        rec = good_record(detector, self.timing)
+        check_slot(rec, detector, self.timing, 0x4242)
+        assert invariants.STATE.violations == []
+        check_slot(rec, detector, self.timing, 0x42BD)
+        assert [v.check for v in invariants.STATE.violations] == [
+            "qcd_preamble"
+        ]
+
+    def test_wide_qcd_preamble_rebuilt_at_full_width(self):
+        """QCD-40's 80-bit preamble is wider than a machine word."""
+        detector = QCDDetector(40)
+        invariants.enable(strict=False)
+        rec = good_record(detector, self.timing)
+        r = 0x12_3456_789A
+        check_slot(rec, detector, self.timing, r << 40 | r ^ (1 << 40) - 1)
+        assert invariants.STATE.violations == []
+        check_slot(rec, detector, self.timing, (1 << 80) - 1)
+        assert [v.check for v in invariants.STATE.violations] == [
+            "qcd_preamble"
+        ]
+
+    def test_crc_detector_has_no_preamble_check(self):
+        detector = CRCCDDetector(id_bits=64)
+        invariants.enable(strict=True)
+        rec = good_record(detector, self.timing)
+        check_slot(rec, detector, self.timing, (1 << 96) - 1)
         assert invariants.STATE.violations == []
 
 
@@ -290,3 +347,80 @@ class TestEndToEnd:
                 FramedSlottedAloha(16), schedule, initial_tags=pop.tags
             )
         assert state.violations == []
+
+
+class TestReaderHooks:
+    """Where the live Reader calls the per-slot checker."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        from repro.sim import reader as reader_module
+
+        calls = {"_run_frame": 0, "_run_slot": 0, "check_slot": []}
+        for name in ("_run_frame", "_run_slot"):
+            real = getattr(reader_module.Reader, name)
+
+            def counted(self, *args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(reader_module.Reader, name, counted)
+        real_check = reader_module._check_slot
+
+        def checked(record, detector, timing, value):
+            calls["check_slot"].append((record, value))
+            return real_check(record, detector, timing, value)
+
+        monkeypatch.setattr(reader_module, "_check_slot", checked)
+        return calls
+
+    @pytest.mark.parametrize("with_obs", [False, True])
+    def test_framed_inventory_checks_every_slot_in_run_frame(
+        self, monkeypatch, with_obs
+    ):
+        """Invariant checking (with or without obs) keeps a framed FSA
+        inventory on the frame-batched path, which checks every record
+        against its packed superposition."""
+        from repro.bits.rng import make_rng
+        from repro.protocols.fsa import FramedSlottedAloha
+        from repro.sim.reader import Reader
+        from repro.tags.population import TagPopulation
+
+        calls = self._spy(monkeypatch)
+        pop = TagPopulation(40, id_bits=64, rng=make_rng(21))
+        if with_obs:
+            obs.enable()
+        with checking(strict=True) as state:
+            result = Reader(QCDDetector(8)).run_inventory(
+                pop.tags, FramedSlottedAloha(16)
+            )
+        assert state.violations == []
+        assert calls["_run_frame"] == result.stats.frames
+        assert calls["_run_slot"] == 0
+        checked = calls["check_slot"]
+        assert [record for record, _ in checked] == result.trace
+        for record, value in checked:
+            assert (value is None) is (record.n_responders == 0)
+            if record.n_responders:
+                assert 0 < value < 1 << 16
+
+    def test_frame_check_flags_a_misread_slot(self, monkeypatch):
+        """A detector that calls every occupied slot single trips the
+        preamble check inside ``_run_frame`` on the first collision."""
+        from repro.bits.rng import make_rng
+        from repro.protocols.fsa import FramedSlottedAloha
+        from repro.sim.reader import Reader
+        from repro.tags.population import TagPopulation
+
+        calls = self._spy(monkeypatch)
+        detector = QCDDetector(8)
+        monkeypatch.setattr(
+            detector,
+            "classify_packed_many",
+            lambda values, counts: (counts > 0).astype(int),
+        )
+        pop = TagPopulation(40, id_bits=64, rng=make_rng(21))
+        with checking(strict=False) as state:
+            Reader(detector).run_inventory(pop.tags, FramedSlottedAloha(16))
+        assert calls["_run_slot"] == 0
+        assert "qcd_preamble" in {v.check for v in state.violations}
