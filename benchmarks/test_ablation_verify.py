@@ -3,10 +3,12 @@
 Mirrors ``test_ablation_observability``: the invariant hooks in
 ``Reader._run_slot``/``Reader._run`` are one attribute load and a falsy
 branch per slot when :mod:`repro.verify.invariants` is disabled, so the
-instrumented loop must stay within 5% of the frozen seed loop (which has
-neither obs nor invariant hooks).  Enabled mode is timed informationally
--- re-deriving slot durations and re-decoding QCD preambles every slot
-is allowed to cost real time -- and asserted clean on a healthy run.
+instrumented loop must stay within 5% of the hook-free copy of the live
+loop (which has neither obs nor invariant hooks), timed on a Binary Tree
+inventory, whose every slot runs the per-slot hooks.  Enabled mode is
+timed informationally -- re-deriving slot durations and re-decoding QCD
+preambles every slot is allowed to cost real time -- and asserted clean
+on a healthy run.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from repro.core.qcd import QCDDetector
 from repro.core.timing import TimingModel
 from repro.sim.reader import Reader
 from repro.verify import invariants
-from test_ablation_observability import N, ROUNDS, _fresh_workload, baseline_inventory
+from test_ablation_observability import (
+    N,
+    ROUNDS,
+    _fresh_tree_workload,
+    _fresh_workload,
+    baseline_inventory,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -37,7 +45,7 @@ def clean_state():
 
 
 def _time_one(runner) -> float:
-    tags, protocol = _fresh_workload()
+    tags, protocol = _fresh_tree_workload()
     start = time.perf_counter()
     runner(tags, protocol)
     return time.perf_counter() - start
@@ -51,9 +59,9 @@ def test_disabled_invariants_overhead_under_5_percent(benchmark):
     reader = Reader(QCDDetector(8), TimingModel())
     assert not invariants.is_enabled()
 
-    tags, protocol = _fresh_workload()
+    tags, protocol = _fresh_tree_workload()
     expected = baseline_inventory(reader, tags, protocol)
-    tags, protocol = _fresh_workload()
+    tags, protocol = _fresh_tree_workload()
     got = reader.run_inventory(tags, protocol)
     assert got.trace == expected.trace
 
@@ -67,7 +75,7 @@ def test_disabled_invariants_overhead_under_5_percent(benchmark):
         inst_min = min(inst_min, _time_one(reader.run_inventory))
 
     def setup():
-        return _fresh_workload(), {}
+        return _fresh_tree_workload(), {}
 
     benchmark.pedantic(
         reader.run_inventory, setup=setup, rounds=3, iterations=1
@@ -77,7 +85,7 @@ def test_disabled_invariants_overhead_under_5_percent(benchmark):
     benchmark.extra_info["overhead_fraction"] = overhead
     assert overhead < 0.05, (
         f"disabled-invariants overhead {overhead:.1%} "
-        f"(instrumented {inst_min:.4f}s vs seed {base_min:.4f}s)"
+        f"(instrumented {inst_min:.4f}s vs hook-free {base_min:.4f}s)"
     )
 
 

@@ -27,12 +27,13 @@ from typing import Sequence
 
 from repro.core.detector import SlotType
 from repro.protocols.base import AntiCollisionProtocol
+from repro.protocols.bt import CounterSplitting
 from repro.tags.tag import Tag
 
 __all__ = ["AdaptiveBinarySplitting"]
 
 
-class AdaptiveBinarySplitting(AntiCollisionProtocol):
+class AdaptiveBinarySplitting(CounterSplitting):
     """ABS: binary splitting with slot-schedule memory across rounds.
 
     The tag's ASC is stored in ``tag.counter``.  Call :meth:`start` with
@@ -40,15 +41,15 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
     to begin a *readable* round that reuses the ASCs left by the previous
     round (tags must have been inventoried by this same protocol instance
     or carry valid counters).
-    """
 
-    framed = False
+    On a fresh round ABS runs BT's automaton (:class:`CounterSplitting`):
+    a single advances the PSC instead of every counter, and tags below
+    the PSC stay put.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self.name = "ABS"
-        self._psc = 0
-        self._max_asc = 0
 
     def start(self, tags: Sequence[Tag], fresh: bool = True) -> None:
         AntiCollisionProtocol.start(self, tags)
@@ -57,13 +58,15 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
         if fresh:
             for tag in self._tags:
                 tag.counter = 0
-        self._update_max_asc(self.active_tags())
+        self._group_active()
 
-    def _update_max_asc(self, active: list[Tag]) -> None:
-        """``_max_asc`` is the largest ASC among the *active* tags (PSC - 1
-        when none is left), kept exact after every call so that
-        :attr:`finished` need not rescan the population each slot."""
-        self._max_asc = max((t.counter for t in active), default=self._psc - 1)
+    @property
+    def _max_asc(self) -> int:
+        """The largest ASC among the active tags (PSC - 1 when none is
+        left), read off the groups: the deepest one is never empty."""
+        if self._groups:
+            return self._psc + len(self._groups) - 1
+        return max((t.counter for t in self._stranded), default=self._psc - 1)
 
     def admit(self, tag: Tag) -> None:
         """A new arrival draws a random ASC in the not-yet-progressed range
@@ -71,37 +74,22 @@ class AdaptiveBinarySplitting(AntiCollisionProtocol):
         super().admit(tag)
         hi = max(self._psc, self._max_asc)
         tag.counter = int(tag.rng.integers(self._psc, hi + 1))
-        self._max_asc = max(self._max_asc, tag.counter)
-
-    def withdraw(self, tag: Tag) -> None:
-        super().withdraw(tag)
-        self._update_max_asc(self.active_tags())
+        if not tag.identified:
+            self._place(tag)
 
     # ------------------------------------------------------------------
 
-    def responders(self) -> list[Tag]:
-        return [t for t in self.active_tags() if t.counter == self._psc]
-
-    def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
-        self._note_slot()
-        active = self.active_tags()
-        if effective is SlotType.COLLIDED:
-            responder_set = set(id(t) for t in responders)
-            for tag in active:
-                if id(tag) in responder_set:
-                    tag.counter += int(tag.rng.integers(0, 2))
-                else:
-                    if tag.counter > self._psc:
-                        tag.counter += 1
-        elif effective is SlotType.IDLE:
-            for tag in active:
-                if tag.counter > self._psc:
+    def _resolved(self, effective: SlotType, survivors: list[Tag]) -> None:
+        if effective is SlotType.IDLE:
+            # Close the gap: every tag with ASC > PSC moves down one.
+            for group in self._groups:
+                for tag in group:
                     tag.counter -= 1
         else:  # single
             self._psc += 1
-        self._update_max_asc(active)
+        self._stranded += survivors
 
     @property
     def finished(self) -> bool:
         """Round over when the reader has progressed past every ASC."""
-        return not self.has_active_tags() or self._psc > self._max_asc
+        return not self._groups

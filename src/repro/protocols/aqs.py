@@ -19,7 +19,10 @@ paid to resolve.
 Probes are answered by
 :meth:`~repro.protocols.base.AntiCollisionProtocol.prefix_responders`
 (a bisection over the sorted IDs, as in :mod:`repro.protocols.qt`), and
-every tag in a round must carry the same ID length.
+every tag in a round must carry the same ID length.  As in QT, the queued
+prefixes are disjoint, so the queue runs as one frame on the reader's
+frame-batched path, and readable prefixes join the candidates in slot
+order; a ``max_slots`` bound or jammers make the walk run slot by slot.
 """
 
 from __future__ import annotations
@@ -30,24 +33,25 @@ from typing import Sequence
 from repro.bits.bitvec import BitVector
 from repro.core.detector import SlotType
 from repro.protocols.base import AntiCollisionProtocol
+from repro.protocols.qt import QueryTree
 from repro.tags.tag import Tag
 
 __all__ = ["AdaptiveQuerySplitting"]
 
 
-class AdaptiveQuerySplitting(AntiCollisionProtocol):
-    """Query tree with a warm-start candidate queue."""
+class AdaptiveQuerySplitting(QueryTree):
+    """Query tree with a warm-start candidate queue.
 
-    framed = False
+    The probe loop (slot by slot or as one frame) is :class:`QueryTree`'s;
+    AQS seeds the queue from the last round and records its readable
+    prefixes.
+    """
 
     def __init__(self, max_slots: int | None = None) -> None:
-        super().__init__()
+        super().__init__(max_slots)
         self.name = "AQS"
-        self.max_slots = max_slots
-        self._queue: deque[BitVector] = deque()
         #: (prefix, was_idle) outcomes of this round, seeding the next.
         self.candidate_queue: list[tuple[BitVector, bool]] = []
-        self.aborted = False
 
     def start(self, tags: Sequence[Tag], fresh: bool = True) -> None:
         if tags and len({t.id_bits for t in tags}) > 1:
@@ -93,25 +97,13 @@ class AdaptiveQuerySplitting(AntiCollisionProtocol):
 
     # ------------------------------------------------------------------
 
-    def responders(self) -> list[Tag]:
-        if not self._queue:
-            return []
-        return self.prefix_responders(self._queue[0])
-
-    def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
-        self._note_slot()
-        prefix = self._queue.popleft()
-        if effective is SlotType.COLLIDED:
-            id_bits = self._tags[0].id_bits if self._tags else 0
-            if prefix.length < id_bits:
-                self._queue.append(prefix + BitVector(0, 1))
-                self._queue.append(prefix + BitVector(1, 1))
-        else:
+    def _probed(self, effective: int, id_bits: int) -> None:
+        if effective != SlotType.COLLIDED:
             # Remember readable prefixes for the next round's warm start.
-            self.candidate_queue.append((prefix, effective is SlotType.IDLE))
-        if self.max_slots is not None and self.slots_elapsed >= self.max_slots:
-            self.aborted = True
-            self._queue.clear()
+            self.candidate_queue.append(
+                (self._queue[0], effective == SlotType.IDLE)
+            )
+        super()._probed(effective, id_bits)
 
     @property
     def finished(self) -> bool:

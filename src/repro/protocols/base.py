@@ -50,10 +50,6 @@ class AntiCollisionProtocol(ABC):
     #: Human-readable protocol name.
     name: str = "abstract"
 
-    #: Whether the protocol counts progress in frames (FSA family) or in
-    #: raw slots (tree family).
-    framed: bool = True
-
     def __init__(self) -> None:
         self._tags: list[Tag] = []
         self._live: list[Tag] = []
@@ -130,13 +126,45 @@ class AntiCollisionProtocol(ABC):
         (the jammers of :mod:`repro.security.blocker`) or mixed ID lengths
         -- are scanned tag by tag instead.
         """
-        index = self._prefix_index
-        if index is None:
-            index = self._prefix_index = self._build_prefix_index()
+        index = self._prefix_lookup()
         if index is _SCAN:
             return [
                 t for t in self.active_tags() if t.responds_to_prefix(prefix)
             ]
+        return self._prefix_matches(index, prefix)
+
+    def prefix_frame(self, prefixes: Sequence[BitVector]) -> list[list[Tag]] | None:
+        """A prefix queue's probes as one frame: :meth:`prefix_responders`
+        of each prefix in order, up to the last one that any tag answers
+        (every prefix when none does).
+
+        Disjoint prefixes split the active tags between them, so probing
+        the whole queue upfront gives each probe the responders it would
+        get in its own slot.  The probes after the last answered one run
+        only if a backlog remains, which is known only after the frame is
+        classified, so they are left for the next frame.  ``None`` when
+        the population is scanned tag by tag: a jammer answers every
+        prefix, so the queue no longer partitions the tags.
+        """
+        index = self._prefix_lookup()
+        if index is _SCAN or not prefixes:
+            return None
+        buckets = [self._prefix_matches(index, p) for p in prefixes]
+        last = max(
+            (i for i, bucket in enumerate(buckets) if bucket),
+            default=len(buckets) - 1,
+        )
+        return buckets[: last + 1]
+
+    def _prefix_lookup(self) -> tuple[list[int], list[int], int]:
+        index = self._prefix_index
+        if index is None:
+            index = self._prefix_index = self._build_prefix_index()
+        return index
+
+    def _prefix_matches(
+        self, index: tuple[list[int], list[int], int], prefix: BitVector
+    ) -> list[Tag]:
         ids, positions, id_bits = index
         shift = id_bits - prefix.length
         if shift < 0:
@@ -179,18 +207,20 @@ class AntiCollisionProtocol(ABC):
     # -- frame-batched fast path ---------------------------------------
 
     def frame_partition(self) -> list[Sequence[Tag]] | None:
-        """The responder buckets of the *entire* frame about to run.
+        """The responder buckets of the next run of slots, as one frame.
 
-        Framed protocols with a frame-static schedule return one bucket
-        per slot (``len(result)`` = frame size, bucket ``s`` holding the
-        tags :meth:`responders` would return at slot ``s``), letting the
-        reader superpose and classify the whole frame in vectorized form.
-        A ``None`` return means "run this frame slot by slot": the
-        default for tree protocols, and required whenever the schedule
-        cannot be known upfront (mid-frame position, early-termination
-        modes, tags admitted but not yet scheduled).  Only valid at a
-        frame boundary; the buckets must cover every active tag exactly
-        once.
+        A protocol whose schedule is known for several slots ahead returns
+        one bucket per slot (bucket ``s`` holding the tags
+        :meth:`responders` would return at slot ``s``), letting the reader
+        superpose and classify the whole run in vectorized form: an
+        FSA-family frame (every active tag in exactly one bucket) or a
+        query tree's prefix queue (:meth:`prefix_frame`).  ``None`` means
+        "run the next slot by itself": the default, which BT and ABS keep
+        (every verdict moves every counter), and required whenever the
+        schedule cannot be known upfront (mid-frame position,
+        early-termination modes, tags admitted but not yet scheduled, a
+        protocol ``max_slots`` bound).  The reader asks before every slot
+        unless its channel captures; the call must not change any state.
         """
         return None
 
@@ -204,8 +234,9 @@ class AntiCollisionProtocol(ABC):
 
         Arguments are per-slot arrays over the frame last returned by
         :meth:`frame_partition`: the effective slot types (``SlotType``
-        values as ints), the ground-truth responder counts, and the
-        backlog left *after* each slot.  State updates must be identical
+        values as ints), the ground-truth responder counts, and how many
+        of the frame's responders are still unidentified *after* each
+        slot.  State updates must be identical
         to feeding the same verdicts through :meth:`feedback` slot by
         slot -- including ``slots_elapsed``, frame counters, and the RNG
         draws that schedule the next frame.

@@ -40,8 +40,6 @@ class DynamicFSA(AntiCollisionProtocol):
         long or short frames; Gen2 bounds Q to [0, 15]).
     """
 
-    framed = True
-
     def __init__(
         self,
         initial_frame_size: int = 16,

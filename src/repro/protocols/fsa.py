@@ -57,8 +57,6 @@ class FramedSlottedAloha(AntiCollisionProtocol):
         paper's accounting).
     """
 
-    framed = True
-
     def __init__(self, frame_size: int, termination: str = "confirm") -> None:
         super().__init__()
         if frame_size < 1:

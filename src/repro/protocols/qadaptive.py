@@ -43,8 +43,6 @@ class QAdaptive(AntiCollisionProtocol):
         The adjustment step C (0.1 <= C <= 0.5 per the standard's guidance).
     """
 
-    framed = True
-
     Q_MIN, Q_MAX = 0.0, 15.0
 
     def __init__(self, initial_q: float = 4.0, c: float = 0.3) -> None:

@@ -22,6 +22,13 @@ which bisects the sorted tag IDs instead of asking every tag, so a slot
 costs two bisections plus its k responders rather than a pass over all n
 tags.  Populations holding tags that override ``responds_to_prefix`` (the
 jammers) are still asked tag by tag, so the attack runs unchanged.
+
+The queued prefixes are disjoint, so they split the active tags between
+them and the queue runs as one frame on the reader's frame-batched path
+(:meth:`~repro.protocols.base.AntiCollisionProtocol.prefix_frame`):
+``feedback_frame`` pops the probed prefixes and enqueues their children
+in slot order, exactly as slot-by-slot feedback would.  With a
+``max_slots`` bound, or with jammers present, the walk runs slot by slot.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from repro.tags.tag import Tag
 
 __all__ = ["QueryTree"]
 
+_ZERO = BitVector(0, 1)
+_ONE = BitVector(1, 1)
+
 
 class QueryTree(AntiCollisionProtocol):
     """Prefix-probing deterministic tree walk.
@@ -49,14 +59,11 @@ class QueryTree(AntiCollisionProtocol):
         tags unidentified; the caller can inspect ``aborted``.
     """
 
-    framed = False
-
     def __init__(self, max_slots: int | None = None) -> None:
         super().__init__()
         self.name = "QT"
         self.max_slots = max_slots
         self._queue: deque[BitVector] = deque()
-        self._current: BitVector | None = None
         self.aborted = False
 
     def start(self, tags: Sequence[Tag]) -> None:
@@ -64,7 +71,6 @@ class QueryTree(AntiCollisionProtocol):
         if tags and len({t.id_bits for t in tags}) > 1:
             raise ValueError("QueryTree requires uniform ID length")
         self._queue = deque([BitVector(0, 0)])
-        self._current = None
         self.aborted = False
         self.frames_started = 1  # one continuous logical frame
 
@@ -73,24 +79,37 @@ class QueryTree(AntiCollisionProtocol):
     def responders(self) -> list[Tag]:
         if not self._queue:
             return []
-        self._current = self._queue[0]
-        return self.prefix_responders(self._current)
+        return self.prefix_responders(self._queue[0])
 
     def feedback(self, effective: SlotType, responders: list[Tag]) -> None:
         self._note_slot()
-        prefix = self._queue.popleft()
-        if effective is SlotType.COLLIDED:
-            id_bits = self._tags[0].id_bits if self._tags else 0
-            if prefix.length >= id_bits:
-                # Prefix already spans the whole ID: only duplicate or
-                # adversarial tags can still collide here; drop the branch.
-                pass
-            else:
-                self._queue.append(prefix + BitVector(0, 1))
-                self._queue.append(prefix + BitVector(1, 1))
+        self._probed(effective, self._id_bits())
         if self.max_slots is not None and self.slots_elapsed >= self.max_slots:
             self.aborted = True
             self._queue.clear()
+
+    def frame_partition(self) -> list[list[Tag]] | None:
+        if self.max_slots is not None:
+            return None
+        return self.prefix_frame(self._queue)
+
+    def feedback_frame(self, effective, responder_counts, remaining) -> None:
+        id_bits = self._id_bits()
+        for verdict in effective:
+            self._probed(verdict, id_bits)
+        self.slots_elapsed += len(effective)
+
+    def _id_bits(self) -> int:
+        return self._tags[0].id_bits if self._tags else 0
+
+    def _probed(self, effective: int, id_bits: int) -> None:
+        """Retire the front prefix; a collision enqueues its children."""
+        prefix = self._queue.popleft()
+        # A prefix that already spans the whole ID can only collide on
+        # duplicate or adversarial tags: drop the branch.
+        if effective == SlotType.COLLIDED and prefix.length < id_bits:
+            self._queue.append(prefix + _ZERO)
+            self._queue.append(prefix + _ONE)
 
     @property
     def finished(self) -> bool:

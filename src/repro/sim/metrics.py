@@ -220,32 +220,47 @@ class InventoryStats:
         id_bits: int,
         tau: float = 1.0,
     ) -> "InventoryStats":
-        true = slot_counts(trace, detected=False)
-        det = slot_counts(trace, detected=True)
-        missed = sum(
-            1
-            for r in trace
-            if r.true_type is SlotType.COLLIDED
-            and r.detected_type is SlotType.SINGLE
-            and not r.captured
-        )
-        false_col = sum(
-            1
-            for r in trace
-            if r.true_type is SlotType.SINGLE
-            and r.detected_type is SlotType.COLLIDED
-        )
+        """Every field in one pass over ``trace``.
+
+        Equal, field for field, to the pure functions above applied one
+        by one.  The airtime total stays the builtin ``sum`` over the
+        durations in trace order: on Python >= 3.12 it is a compensated
+        sum, so neither a running ``+=`` nor ``np.sum`` matches it on
+        every supported Python.
+        """
+        # counts[captured][true][detected]: slots by flag and both types.
+        counts = [[[0] * 3 for _ in range(3)] for _ in range(2)]
+        lost = 0
+        delays: list[float] = []
+        durations: list[float] = []
+        for r in trace:
+            counts[r.captured][r.true_type][r.detected_type] += 1
+            durations.append(r.duration)
+            if r.identified_tag is not None:
+                delays.append(r.end_time)
+            lost += r.lost_tags
+        plain, captured = counts
+        both = [[a + b for a, b in zip(*rows)] for rows in zip(plain, captured)]
+        true = SlotCounts(*map(sum, both))
+        det = SlotCounts(*map(sum, zip(*both)))
+        # Captured slots count neither as misses nor in accuracy's base.
+        collided = sum(plain[SlotType.COLLIDED])
+        total = sum(durations)
         return cls(
             n_tags=n_tags,
             frames=frames,
             true_counts=true,
             detected_counts=det,
-            total_time=sum(r.duration for r in trace),
-            accuracy=detection_accuracy(trace),
-            delay=delay_stats(trace),
-            utilization=utilization_rate(trace, id_bits, tau),
-            missed_collisions=missed,
-            false_collisions=false_col,
-            lost_tags=sum(r.lost_tags for r in trace),
-            captures=sum(1 for r in trace if r.captured),
+            total_time=total,
+            accuracy=(
+                both[SlotType.COLLIDED][SlotType.COLLIDED] / collided
+                if collided
+                else 1.0
+            ),
+            delay=DelayStats.from_delays(delays),
+            utilization=true.single * id_bits * tau / total if total else 0.0,
+            missed_collisions=plain[SlotType.COLLIDED][SlotType.SINGLE],
+            false_collisions=both[SlotType.SINGLE][SlotType.COLLIDED],
+            lost_tags=lost,
+            captures=sum(map(sum, captured)),
         )

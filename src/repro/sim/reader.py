@@ -12,11 +12,13 @@ rests on, on packed int payloads::
         ... apply misdetection policy, mark identifications ...
         protocol.feedback(effective_type, responders)
 
-When the protocol exports a whole frame's schedule
-(:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`),
-the reader runs that frame in one vectorized pass instead, with identical
-RNG draws, verdicts, traces and counters; a capturing channel, whose
-draws interleave per slot, always runs slot by slot.
+When the protocol exports the schedule of a run of slots
+(:meth:`~repro.protocols.base.AntiCollisionProtocol.frame_partition`: an
+FSA-family frame, or a query tree's queue of disjoint prefixes), the
+reader runs that frame in one vectorized pass instead, with identical RNG
+draws, verdicts, traces and counters.  BT and ABS, whose every verdict
+moves every counter, run slot by slot, and so does everything on a
+capturing channel, whose draws interleave per slot.
 
 Misdetection policies (DESIGN.md §5) govern what happens when the detector
 calls a collided slot single:
@@ -101,9 +103,9 @@ class Reader:
     timestamps every slot of the frame with numpy (in a uint64 arena, or
     an object arena for payloads wider than 64 bits) and opens the same
     ``frame`` span and slot events under :mod:`repro.obs` as the per-slot
-    loop.  Tree protocols, frames the protocol declines to export, frames
-    that would cross ``max_slots`` and capturing channels run slot by
-    slot.  Invariant checking and observability change neither path.
+    loop.  Slots the protocol declines to export (all of BT's and ABS's),
+    frames that would cross ``max_slots`` and capturing channels run slot
+    by slot.  Invariant checking and observability change neither path.
     """
 
     def __init__(
@@ -198,7 +200,7 @@ class Reader:
             )
         # A batched frame draws all its bit errors at once; capture draws
         # interleave with them slot by slot, so capture runs per slot.
-        batch_frames = protocol.framed and not self.channel.capture_probability
+        batch_frames = not self.channel.capture_probability
         bits = detector.packed_bits
         current_frame = 0
         index = 0

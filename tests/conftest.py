@@ -20,6 +20,9 @@ from repro.tags.population import TagPopulation
 REFERENCE_READER = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "_reference_reader.py"
 )
+#: The frozen slot-by-slot tree protocols (BT, ABS, QT, AQS), the live
+#: protocols' differential oracle, loaded the same way.
+REFERENCE_PROTOCOLS = REFERENCE_READER.with_name("_reference_protocols.py")
 
 # "ci" replays a fixed example sequence (derandomize) so CI failures are
 # reproducible and never flake on a fresh random draw; "dev" keeps the
@@ -55,19 +58,27 @@ def make_population(rng):
     return _make
 
 
-def load_reference_reader():
-    spec = importlib.util.spec_from_file_location(
-        "_reference_reader", REFERENCE_READER
-    )
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_reference_reader():
+    return _load(REFERENCE_READER)
 
 
 @pytest.fixture(scope="session")
 def reference_reader():
     """``benchmarks/_reference_reader.py``, loaded by path."""
     return load_reference_reader()
+
+
+@pytest.fixture(scope="session")
+def reference_protocols():
+    """``benchmarks/_reference_protocols.py``, loaded by path."""
+    return _load(REFERENCE_PROTOCOLS)
 
 
 def tier_reader_factory(reference):

@@ -8,8 +8,8 @@ same span/event
 sequence (type, name, attrs and parent, with wall-clock timestamps and
 span ids normalised away) and the same metrics registry (less the
 wall-clock ``repro_profile_seconds`` histogram).  The grid covers the
-framed protocols that batch (fsa/dfsa), the tree protocols that always
-run slot by slot (bt/qt), weak QCD strengths under the ``"lost"`` policy
+protocols that batch (fsa/dfsa frames, qt's prefix queue), bt, which
+runs slot by slot, weak QCD strengths under the ``"lost"`` policy
 so the misdetection and lost-tag counters fire, and a ``max_slots`` bound
 that drops a batched inventory onto the per-slot loop mid-frame.
 """

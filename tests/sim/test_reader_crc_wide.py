@@ -35,8 +35,8 @@ from repro.tags.population import TagPopulation
 #: Reader (the reference), the live per-slot loop, frame-batched.
 TIERS = ("object", "packed", "batched")
 
-#: (protocol factory, population size): framed protocols batch, tree
-#: protocols always run slot by slot.  BT's first slot holds all 40
+#: (protocol factory, population size): FSA/DFSA frames and QT's prefix
+#: queue batch, BT runs slot by slot.  BT's first slot holds all 40
 #: tags, more than ``Channel.transmit_packed``'s small-slot int loop.
 PROTOCOLS = {
     "fsa": (lambda: FramedSlottedAloha(32), 60),
