@@ -183,10 +183,12 @@ class BinaryTree(CounterSplitting):
 
     @property
     def finished(self) -> bool:
-        """Done when no tag is contending.
+        """Done when no group at counter >= 0 is left.
 
         The counter automaton guarantees progress: the front group (counter
         0) either resolves (idle/single) or splits (collision), and every
-        non-collided slot strictly decreases the sum of counters.
+        non-collided slot strictly decreases the sum of counters.  Stranded
+        responders (below counter 0) return only on a collision, which no
+        remaining group can cause, so they stay unidentified.
         """
-        return self._started and not self.has_active_tags()
+        return self._started and not self._groups

@@ -15,15 +15,23 @@ grouped into calls:
   slot choices, evaluates the detector's miss probabilities *once* for all
   collisions of the step, and advances each round with sparse per-frame
   expressions: only the occupied slots (at most ``min(backlog,
-  frame_size)`` of them) are touched, and frame airtime / identification
-  delays come from occupancy-class counts and prefix sums.
+  frame_size)`` of them) are touched, and frame airtime comes from
+  occupancy-class counts.  Identification delays are computed once per
+  round, in one flat pass over its frames, from each single's slot index
+  and the counts of occupied slots, singles and missed collisions before
+  it.
 * :func:`bt_fast_batch` -- binary-tree splitting as a *level-synchronous*
   frontier walk (:func:`_bt_walk`): every tree level draws one ``random``
   vector (misdetection uniforms) and one raw 64-bit block whose popcounts
-  are the Binomial(m, 1/2) splits, for all collided groups of the level;
-  the depth-first slot order the exact reader executes is then
-  reconstructed from subtree sizes (:func:`_bt_finalize`).  Rounds are
-  walked one at a time to bound memory.
+  are the Binomial(m, 1/2) splits, for all collided groups of the level,
+  and keeps the indices of its collided nodes; the depth-first slot order
+  the exact reader executes is then reconstructed from subtree sizes
+  (:func:`_bt_finalize`).  Rounds are walked one at a time to bound
+  memory.
+
+Miss probabilities of the closed-form detectors (QCD, CRC-CD, Ideal) are
+gathered from small read-only tables memoized per detector parameters
+(:func:`_miss_table`); other detector classes call ``miss_probability``.
 
 The kernels simulate the *identical* stochastic process as the exact
 reader (slot choices / split draws are the only randomness; detector
@@ -32,10 +40,13 @@ misses are drawn from their exact probabilities) and return the same
 the kernel-vs-reader verify oracles cross-validate them distributionally.
 The FSA/DFSA kernels consume each stream exactly like the pre-batching
 per-round kernels frozen in ``benchmarks/_reference_kernels.py``, and
-``tests/sim/test_batch.py`` asserts field-by-field identity against them.
-That identity holds whenever every slot duration is an integer multiple
-of the float granule (the paper's timing: ``tau = 1`` and integer bit
-counts), because then every partial sum is exact in float64; with exotic
+``tests/sim/test_batch.py`` asserts field-by-field identity against them;
+``tests/sim/test_batch_reference.py`` holds all three kernels, delay
+statistics included, to an earlier copy of this module
+(``benchmarks/_reference_batch.py``).  That identity holds whenever every
+slot duration is an integer multiple of the float granule (the paper's
+timing: ``tau = 1`` and integer bit counts), because then every partial
+sum is exact in float64 whatever the order of summation; with exotic
 non-integer timing the results agree to normal float rounding instead.
 
 Kernels implement the ``"paper"`` misdetection policy only (misses are
@@ -45,6 +56,7 @@ truth).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -88,49 +100,80 @@ def _duration_lut(
     )
 
 
-def _miss_prob_fn(detector: CollisionDetector):
-    """Vectorized P(collision of size m read as single), hoisted.
-
-    Resolves the detector's type once per call and returns a closure over
-    plain floats, so the per-frame hot loop runs no ``isinstance`` chain
-    and no attribute lookups.
-    """
+def _miss_key(detector: CollisionDetector) -> tuple | None:
+    """What a closed-form detector's miss probabilities depend on, or None
+    for a detector class without a closed form here."""
     if isinstance(detector, QCDDetector):
-        base = float((1 << detector.strength) - 1)
-        return lambda m: base ** (-(m.astype(np.float64) - 1.0))
+        return ("qcd", detector.strength)
     if isinstance(detector, CRCCDDetector):
-        const = 2.0 ** (-detector.crc_bits)
-        return lambda m: np.full(m.shape, const)
+        return ("crc", detector.crc_bits)
     if isinstance(detector, IdealDetector):
-        return lambda m: np.zeros(m.shape)
-    return lambda m: np.array([detector.miss_probability(int(x)) for x in m])
-
-
-def _miss_lut(detector: CollisionDetector, n_max: int) -> np.ndarray | None:
-    """Miss probabilities tabulated by collision size, or None.
-
-    For the closed-form detectors the table is built with the *same*
-    vectorized expression :func:`_miss_prob_fn` evaluates, so
-    ``lut[m] == miss_fn(m)`` bit for bit and a table gather can replace
-    the per-frame ``power`` evaluation.  Unknown detector classes return
-    None -- tabulating them would call a Python ``miss_probability`` once
-    per possible size.
-    """
-    if isinstance(detector, (QCDDetector, CRCCDDetector, IdealDetector)):
-        return _miss_prob_fn(detector)(np.arange(n_max + 1, dtype=np.int64))
+        return ("ideal",)
     return None
 
 
-def _miss_eval(detector: CollisionDetector, n_max: int):
-    """Miss-probability evaluator for collision sizes in ``[0, n_max]``.
+def _closed_form(key: tuple):
+    """Vectorized miss probabilities of the detector :func:`_miss_key`
+    described, as a closure over plain floats."""
+    if key[0] == "qcd":
+        base = float((1 << key[1]) - 1)
+        return lambda m: base ** (-(m.astype(np.float64) - 1.0))
+    if key[0] == "crc":
+        const = 2.0 ** (-key[1])
+        return lambda m: np.full(m.shape, const)
+    return lambda m: np.zeros(m.shape)
 
-    A table gather when the detector tabulates (:func:`_miss_lut`),
-    otherwise the vectorized closure -- bit-identical either way.
+
+def _miss_prob_fn(detector: CollisionDetector):
+    """Vectorized P(collision of size m read as single), hoisted.
+
+    Resolves the detector's type once per call and returns a closure, so
+    the per-frame hot loop runs no ``isinstance`` chain and no attribute
+    lookups.  Unknown detector classes call their ``miss_probability``
+    once per collision.
     """
-    lut = _miss_lut(detector, n_max)
-    if lut is not None:
-        return lambda m: lut[m]
-    return _miss_prob_fn(detector)
+    key = _miss_key(detector)
+    if key is None:
+        return lambda m: np.array(
+            [detector.miss_probability(int(x)) for x in m]
+        )
+    return _closed_form(key)
+
+
+@functools.lru_cache(maxsize=64)
+def _miss_table(key: tuple) -> np.ndarray:
+    """Read-only miss probabilities by collision size, cut short.
+
+    Built with the closure :func:`_miss_prob_fn` returns, so
+    ``table[min(m, table.size - 1)] == miss_fn(m)`` bit for bit.  QCD's
+    ``base ** -(m - 1)`` does not increase with m, so its table ends at
+    the first exact 0.0 (681 entries at strength 2, 137 at strength 8)
+    and every larger size reads that zero.  QCD-1 (``base == 1``),
+    CRC-CD and Ideal are constant: a one-entry table.
+    """
+    fn = _closed_form(key)
+    if key[0] == "qcd" and key[1] > 1:
+        # base >= 3 and 3.0 ** -2047 underflows, so a zero lies below 2048.
+        table = fn(np.arange(2048, dtype=np.int64))
+        table = table[: np.flatnonzero(table == 0.0)[0] + 1].copy()
+    else:
+        table = fn(np.zeros(1, dtype=np.int64))
+    table.flags.writeable = False
+    return table
+
+
+def _miss_eval(detector: CollisionDetector):
+    """Miss-probability evaluator for collision sizes ``m >= 0``.
+
+    A gather from the memoized :func:`_miss_table` when the detector has
+    one, otherwise the vectorized closure -- bit-identical either way.
+    """
+    key = _miss_key(detector)
+    if key is None:
+        return _miss_prob_fn(detector)
+    table = _miss_table(key)
+    # ``clip`` reads every size past the table's end as its last entry.
+    return lambda m: table.take(m, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -262,7 +305,7 @@ def _aloha_batch(
         kernel, engine = "dfsa_fast_batch", "fast_dfsa"
     lut = _duration_lut(detector, timing)
     d0, d1, dc = float(lut[0]), float(lut[1]), float(lut[2])
-    miss_fn = _miss_eval(detector, n_tags)
+    miss_fn = _miss_eval(detector)
     obs_on = _OBS.enabled
     if estimator is not None:
         from repro.protocols.estimators import FrameObservation
@@ -277,42 +320,40 @@ def _aloha_batch(
             st.n0 += st.frame_size
             st.t += st.frame_size * d0
         if st.fdata:
-            # One flat pass over every recorded frame.  The dense
-            # per-frame formula is: end of occupied slot j (slot index
-            # s_j) = t_start + cumsum(dur_occ)[j] + (s_j - j) * d0.  With
-            # G the cumsum over the *concatenation* of the frames'
-            # dur_occ, the within-frame cumsum at global index g is
-            # G[g] - G[start_f - 1], and j = g - start_f, so
-            #   ends[g] = (t_start_f - baseG_f + start_f * d0)
-            #             + G[g] + (slots[g] - g) * d0
-            # -- exact, and therefore bit-identical to the dense
-            # per-frame value, because integer-valued durations make
-            # every term an exact float64 integer (slots[g] - g may go
-            # negative across frame boundaries; the products stay exact).
-            n_f = len(st.fdata)
-            slots_all = np.concatenate([f[1] for f in st.fdata])
-            coll_all = np.concatenate([f[2] for f in st.fdata])
-            miss_cat = np.concatenate([f[3] for f in st.fdata])
-            dur = np.where(coll_all, dc, d1)
-            if miss_cat.size and miss_cat.any():
-                # Missed collisions run the ID phase: single-slot airtime.
-                dur[np.flatnonzero(coll_all)[miss_cat]] = d1
-            g_sum = np.cumsum(dur)
-            sizes = np.array(
-                [f[1].size for f in st.fdata], dtype=np.int64
-            )
-            starts = np.cumsum(sizes) - sizes
-            base = np.empty(n_f, dtype=np.float64)
-            base[0] = 0.0
-            base[1:] = g_sum[starts[1:] - 1]
-            t_starts = np.array(
-                [f[0] for f in st.fdata], dtype=np.float64
-            )
-            # Only the single slots need their end times materialized.
-            si = np.flatnonzero(~coll_all)
-            f1s = np.array([f[4] for f in st.fdata], dtype=np.int64)
-            off = np.repeat(t_starts - base + starts * d0, f1s)
-            all_delays = off + g_sum[si] + (slots_all[si] - si) * d0
+            # One flat pass over every recorded frame.  A single at slot
+            # index s of its frame, occupied index j, is the frame's k-th
+            # single with M missed collisions before it, so it ends at
+            #   t_start + s*d0 + j*(dc - d0) + (k + M)*(d1 - dc) + d1:
+            # s - j idle slots, j - k - M collisions and k + M slots
+            # charged single-slot airtime, then its own.  Over the
+            # concatenated frames j and k + M are global counts less the
+            # frame's start, folded into one offset per frame.  With
+            # integer-valued durations every term is an exact float64
+            # integer, so the sum is bit-identical in any order.
+            fd = st.fdata
+            coll_all = np.concatenate([f[2] for f in fd])
+            g = np.flatnonzero(~coll_all)  # global j of every single
+            sizes = np.array([f[1].size for f in fd], dtype=np.int64)
+            f1s = np.array([f[4] for f in fd], dtype=np.int64)
+            j0 = np.cumsum(sizes) - sizes
+            km0 = np.cumsum(f1s) - f1s
+            km = np.arange(g.size, dtype=np.int64)  # global k (+ M)
+            if st.missed:
+                missed_g = np.flatnonzero(coll_all)[
+                    np.concatenate([f[3] for f in fd])
+                ]
+                km0 += np.searchsorted(missed_g, j0)
+                # The global M steps up by one after each missed slot.
+                cut = np.empty(missed_g.size + 2, dtype=np.int64)
+                cut[0], cut[-1] = 0, g.size
+                cut[1:-1] = np.searchsorted(g, missed_g)
+                km += np.repeat(np.arange(cut.size - 1), np.diff(cut))
+            t_starts = np.array([f[0] for f in fd], dtype=np.float64)
+            off = t_starts + d1 - j0 * (dc - d0) - km0 * (d1 - dc)
+            all_delays = np.repeat(off, f1s)
+            all_delays += np.concatenate([f[1] for f in fd])[g] * d0
+            all_delays += g * (dc - d0)
+            all_delays += km * (d1 - dc)
             st.fdata = []
         else:
             all_delays = np.empty(0, dtype=np.float64)
@@ -536,12 +577,14 @@ def _split_lefts(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _bt_walk(n_tags: int, rng: np.random.Generator) -> list[tuple]:
     """Level-synchronous draws for one binary-tree inventory.
 
-    Returns one ``(sizes, coll, u, lefts, m)`` tuple per tree level, in
-    level order; within a level nodes are ordered by their parents' order,
-    left child first, and ``m = sizes[coll]`` are the collided group
-    sizes.  Each level makes exactly two RNG calls -- ``random(k)``
-    (misdetection uniforms) then one raw 64-bit ``integers`` block whose
-    popcounts are the Binomial(m, 1/2) splits (:func:`_split_lefts`).
+    Returns one ``(sizes, cidx, u, m)`` tuple per tree level, in level
+    order; within a level nodes are ordered by their parents' order, left
+    child first, ``cidx`` indexes the level's collided nodes and
+    ``m = sizes[cidx]`` are their group sizes, whose children form the
+    next level in pairs.  Each level makes exactly two RNG calls --
+    ``random(k)`` (misdetection uniforms) then one raw 64-bit ``integers``
+    block whose popcounts are the Binomial(m, 1/2) splits
+    (:func:`_split_lefts`).
     """
     levels: list[tuple] = []
     frontier = (
@@ -550,18 +593,17 @@ def _bt_walk(n_tags: int, rng: np.random.Generator) -> list[tuple]:
         else np.empty(0, dtype=np.int64)
     )
     while frontier.size:
-        coll = frontier >= 2
-        m = frontier[coll]
+        cidx = np.flatnonzero(frontier >= 2)
+        m = frontier[cidx]
         if m.size == 0:
-            levels.append((frontier, coll, np.empty(0), None, m))
+            levels.append((frontier, cidx, np.empty(0), m))
             break
         u = rng.random(m.size)
         lefts = _split_lefts(m, rng)
-        levels.append((frontier, coll, u, lefts, m))
-        children = np.empty(2 * m.size, dtype=np.int64)
-        children[0::2] = lefts
-        children[1::2] = m - lefts
-        frontier = children
+        levels.append((frontier, cidx, u, m))
+        frontier = np.empty(2 * m.size, dtype=np.int64)
+        frontier[0::2] = lefts
+        np.subtract(m, lefts, out=frontier[1::2])
     return levels
 
 
@@ -577,60 +619,61 @@ def _bt_finalize(
     the walk produced nodes level by level.  Pre-order slot positions are
     reconstructed in two passes: subtree slot counts bottom-up, then each
     collided node at position p places its left child at p+1 and its right
-    child at p+1+|left subtree|.  Durations scattered into that order and
-    cumulative-summed reproduce the reader's running clock bit for bit.
+    child at p+1+|left subtree|.  Slot codes scattered into that order and
+    cumulative-summed as durations reproduce the reader's running clock
+    bit for bit.
 
     Returns ``(n0, n1, nc, missed, total_time, delays)`` with ``delays``
     in slot order (ascending identification time).
     """
     if not levels:
         return 0, 0, 0, 0, 0.0, np.empty(0, dtype=np.float64)
-    n_levels = len(levels)
     sizes_flat = np.concatenate([lv[0] for lv in levels])
     total = sizes_flat.size
-    u_flat = np.concatenate([lv[2] for lv in levels])
-    mvals = np.concatenate([lv[4] for lv in levels])
-    miss = u_flat < miss_fn(mvals)
+    mvals = np.concatenate([lv[3] for lv in levels])
+    miss = np.concatenate([lv[2] for lv in levels]) < miss_fn(mvals)
     nc = mvals.size
-    n0 = int((sizes_flat == 0).sum())
+    n0 = total - int(np.count_nonzero(sizes_flat))
     n1 = total - n0 - nc
-    n_miss = int(miss.sum())
+    n_miss = int(np.count_nonzero(miss))
     if not collect_delays:
         # Slot order affects neither the counts nor the (integer-valued)
         # total airtime, so skip the position reconstruction entirely.
         t = n0 * lut[0] + (n1 + n_miss) * lut[1] + (nc - n_miss) * lut[2]
         return n0, n1, nc, n_miss, float(t), np.empty(0, dtype=np.float64)
-    # Subtree slot counts, bottom-up (leaves occupy one slot).
+    # Subtree slot counts, bottom-up: leaves occupy one slot, a collided
+    # node one plus its two children's (adjacent on the next level).
+    n_levels = len(levels)
     subtree: list[np.ndarray] = [None] * n_levels  # type: ignore[list-item]
-    for d in range(n_levels - 1, -1, -1):
-        sizes, coll = levels[d][0], levels[d][1]
-        s = np.ones(sizes.size, dtype=np.int64)
-        if d + 1 < n_levels:
-            s[coll] = 1 + subtree[d + 1].reshape(-1, 2).sum(axis=1)
+    subtree[-1] = np.ones(levels[-1][0].size, dtype=np.int64)
+    for d in range(n_levels - 2, -1, -1):
+        child = subtree[d + 1]
+        pair = child[0::2] + child[1::2]
+        pair += 1
+        s = np.ones(levels[d][0].size, dtype=np.int64)
+        s[levels[d][1]] = pair
         subtree[d] = s
     # Pre-order positions, top-down.
-    pos: list[np.ndarray] = [None] * n_levels  # type: ignore[list-item]
-    pos[0] = np.zeros(1, dtype=np.int64)
+    pos = [np.zeros(1, dtype=np.int64)]
+    coll_pos: list[np.ndarray] = []
     for d in range(n_levels - 1):
-        coll = levels[d][1]
-        base = pos[d][coll] + 1
-        child_s = subtree[d + 1]
-        nxt = np.empty(2 * base.size, dtype=np.int64)
-        nxt[0::2] = base
-        nxt[1::2] = base + child_s[0::2]
-        pos[d + 1] = nxt
-    pos_flat = np.concatenate(pos)
-    codes = np.minimum(sizes_flat, 2)
+        cpos = pos[d][levels[d][1]]
+        coll_pos.append(cpos)
+        nxt = np.empty(2 * cpos.size, dtype=np.int64)
+        left = nxt[0::2]
+        np.add(cpos, 1, out=left)
+        np.add(left, subtree[d + 1][0::2], out=nxt[1::2])
+        pos.append(nxt)
+    # Slot codes (0 idle, 1 single, 2 collided) scattered into slot order.
+    code_seq = np.empty(total, dtype=np.uint8)
+    code_seq[np.concatenate(pos)] = np.minimum(sizes_flat, 2)
     if n_miss:
-        # 2 -> 3 marks a missed collision (single-slot airtime).
-        codes[np.flatnonzero(sizes_flat >= 2)[miss]] = 3
-    # Scatter the codes into slot order: the durations become one gather
-    # and the single-slot positions come out pre-sorted via flatnonzero
+        # 2 -> 3 marks a missed collision (single-slot airtime); the
+        # collided positions are in ``mvals`` order, like ``miss``.
+        code_seq[np.concatenate(coll_pos)[miss]] = 3
+    # The single-slot positions come out pre-sorted via flatnonzero
     # instead of an O(n log n) sort.
-    code_seq = np.empty(total, dtype=np.int64)
-    code_seq[pos_flat] = codes
-    dur_seq = lut[code_seq]
-    end = np.cumsum(dur_seq)
+    end = np.cumsum(lut[code_seq])
     delays = end[np.flatnonzero(code_seq == 1)]
     return n0, n1, nc, n_miss, float(end[-1]), delays
 
@@ -658,7 +701,7 @@ def bt_fast_batch(
     if n_tags < 0:
         raise ValueError("n_tags must be >= 0")
     lut = _duration_lut(detector, timing)
-    miss_fn = _miss_eval(detector, n_tags)
+    miss_fn = _miss_eval(detector)
     obs_on = _OBS.enabled
     runs = []
     for rng in _generators(streams):

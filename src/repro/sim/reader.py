@@ -52,7 +52,7 @@ from repro.obs.profiling import profile
 from repro.obs.state import STATE as _OBS
 from repro.protocols.base import AntiCollisionProtocol
 from repro.sim.metrics import InventoryStats
-from repro.sim.trace import SlotRecord
+from repro.sim.trace import SlotRecord, build_record
 from repro.tags.tag import Tag
 from repro.verify.invariants import STATE as _INV
 from repro.verify.invariants import check_inventory as _check_inventory
@@ -377,33 +377,19 @@ class Reader:
             effective[false_collisions] = int(SlotType.COLLIDED)
         protocol.feedback_frame(effective.tolist(), counts_list, remaining)
 
-        # Building records through the frozen-dataclass __init__ costs ten
-        # object.__setattr__ calls each; filling __dict__ directly on a
-        # bare instance produces field-identical records (equality, asdict
-        # and repr all read the same attributes) at a fraction of the
-        # cost, and this loop dominates the frame path's Python time.
         true_list = true_types.tolist()
-        new_record = SlotRecord.__new__
         append = trace.append
         slot_index = index
         for n_resp, true, det, duration, end, ident, lost_n in zip(
             counts_list, true_list, detected_list, durations,
             end_times, identified_tags, lost_counts,
         ):
-            record = new_record(SlotRecord)
-            record.__dict__.update(
-                index=slot_index,
-                frame=frame_no,
-                n_responders=n_resp,
-                true_type=_SLOT_TYPES[true],
-                detected_type=_SLOT_TYPES[det],
-                duration=duration,
-                end_time=end,
-                identified_tag=ident,
-                lost_tags=lost_n,
-                captured=False,
+            append(
+                build_record(
+                    slot_index, frame_no, n_resp, _SLOT_TYPES[true],
+                    _SLOT_TYPES[det], duration, end, ident, lost_n, False,
+                )
             )
-            append(record)
             slot_index += 1
         if _INV.enabled:
             for record, n_resp, value in zip(
@@ -469,17 +455,10 @@ class Reader:
                     tag.lost = True
                     lost.append(tag.tag_id)
                 lost_count = len(responders)
-        record = SlotRecord(
-            index=index,
-            frame=max(1, protocol.frames_started),
-            n_responders=len(responders),
-            true_type=true_type,
-            detected_type=detected,
-            duration=duration,
-            end_time=time,
-            identified_tag=identified_tag,
-            lost_tags=lost_count,
-            captured=captured,
+        record = build_record(
+            index, max(1, protocol.frames_started), len(responders),
+            true_type, detected, duration, time, identified_tag, lost_count,
+            captured,
         )
         if _INV.enabled:
             _check_slot(record, detector, self.timing, value)

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import statistics
 
+import pytest
+
+from repro.bits.bitvec import BitVector
+from repro.bits.channel import Channel
+from repro.bits.rng import make_rng
 from repro.core.detector import SlotType
 from repro.core.qcd import QCDDetector
+from repro.core.timing import TimingModel
 from repro.protocols.bt import BinaryTree
+from repro.security.blocker import BlockerTag, MaliciousTag
 from repro.sim.reader import Reader
+from repro.tags.population import TagPopulation
 
 
 def run_bt(pop, detector=None):
@@ -90,3 +98,49 @@ class TestProgress:
     def test_frames_reported_as_one(self, make_population):
         pop = make_population(10)
         assert run_bt(pop).stats.frames == 1
+
+
+class TestStrandedResponders:
+    """A responder that a SINGLE verdict leaves unidentified drops below
+    counter 0 and returns only on a collision.  Once no group at counter
+    >= 0 is left, nothing can collide, so BT ends instead of idling until
+    the Reader's ``max_slots``."""
+
+    @pytest.mark.parametrize("seed", [2, 3, 5, 6, 8, 10, 11])
+    def test_singles_read_as_idle(self, seed):
+        """QCD-1 under BER 0.15 reads true singles as idle; these seeds
+        used to run into the 3 000-slot bound."""
+        tags = TagPopulation(30, id_bits=64, rng=make_rng(seed)).tags
+        reader = Reader(
+            QCDDetector(1),
+            channel=Channel(bit_error_rate=0.15, rng=make_rng(seed)),
+            max_slots=3000,
+        )
+        protocol = BinaryTree()
+        result = reader.run_inventory(tags, protocol)
+        assert len(result.trace) < 300
+        assert protocol.finished
+        stranded = [t for t in tags if not t.identified]
+        assert stranded
+        assert all(t.counter < 0 for t in stranded)
+        assert len(result.identified_ids) + len(stranded) == 30
+
+    @pytest.mark.parametrize("jammer", ["malicious", "blocker"])
+    def test_jammer_population(self, jammer):
+        """A jammer's phantom single never retires it."""
+        tags = TagPopulation(20, id_bits=8, rng=make_rng(9)).tags
+        if jammer == "malicious":
+            extra = MaliciousTag(tag_id=0, id_bits=8, rng=make_rng(66))
+        else:
+            extra = BlockerTag(tag_id=1, id_bits=8, rng=make_rng(67),
+                               privacy_prefix=BitVector(1, 1))
+        reader = Reader(
+            QCDDetector(8),
+            TimingModel(id_bits=8),
+            channel=Channel(bit_error_rate=1e-3, rng=make_rng(77)),
+            max_slots=3000,
+        )
+        result = reader.run_inventory([*tags[:10], extra, *tags[10:]],
+                                      BinaryTree())
+        assert len(result.trace) < 300
+        assert not extra.identified and extra.counter < 0

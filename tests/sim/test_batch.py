@@ -7,7 +7,8 @@ pre-batching per-round ("streamed") kernels in
 single differing bit anywhere in the delay statistics, slot counts, or
 airtime fails.  The frozen BT walker used an older depth-first draw
 order, so the BT kernel is compared against a streamed loop of
-one-round calls instead and stays anchored by the golden pins below.
+one-round calls instead and stays anchored by the golden pins below and,
+delay statistics included, by ``tests/sim/test_batch_reference.py``.
 
 A golden pin keeps the kernels anchored to the committed
 slot-distribution file; regenerate the batched entries after an
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bits.crc import CRC16_GEN2
 from repro.core.crc_cd import CRCCDDetector
 from repro.core.ideal import IdealDetector
 from repro.core.qcd import QCDDetector
@@ -37,8 +39,9 @@ from repro.protocols.estimators import LowerBoundEstimator, SchouteEstimator
 from repro.sim.batch import (
     BatchResult,
     _miss_eval,
-    _miss_lut,
+    _miss_key,
     _miss_prob_fn,
+    _miss_table,
     _split_lefts,
     bt_fast_batch,
     dfsa_fast_batch,
@@ -287,15 +290,35 @@ class TestDelayStats:
         assert np.isnan(a.mean) and np.isnan(b.mean)
 
 
+MISS_DETECTORS = {
+    **{f"qcd-{k}": (lambda k=k: QCDDetector(k)) for k in (1, 2, 4, 8, 16)},
+    "crc-16": lambda: CRCCDDetector(id_bits=64, crc_spec=CRC16_GEN2),
+    "crc": lambda: CRCCDDetector(id_bits=64),
+    "ideal": lambda: IdealDetector(64),
+}
+
+
 class TestMissEval:
-    @pytest.mark.parametrize("scheme", sorted(DETECTOR_FACTORIES))
+    @pytest.mark.parametrize("scheme", sorted(MISS_DETECTORS))
     def test_lut_bitwise_matches_closure(self, scheme):
-        det = DETECTOR_FACTORIES[scheme]()
-        m = np.arange(0, 301, dtype=np.int64)
-        lut = _miss_lut(det, 300)
-        assert lut is not None
-        assert np.array_equal(lut, _miss_prob_fn(det)(m))
-        assert np.array_equal(_miss_eval(det, 300)(m), lut)
+        """The memoized table, gathered at every case-IV collision size,
+        equals the closure bit for bit."""
+        det = MISS_DETECTORS[scheme]()
+        m = np.arange(0, 50_001, dtype=np.int64)
+        got = _miss_eval(det)(m)
+        want = _miss_prob_fn(det)(m)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("scheme", sorted(MISS_DETECTORS))
+    def test_tables_are_small_and_read_only(self, scheme):
+        table = _miss_table(_miss_key(MISS_DETECTORS[scheme]()))
+        assert 1 <= table.size <= 1100
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+        # Memoized per detector parameters, not per instance.
+        assert _miss_table(_miss_key(MISS_DETECTORS[scheme]())) is table
 
     def test_unknown_detector_falls_back_to_closure(self):
         class Odd:
@@ -303,11 +326,9 @@ class TestMissEval:
                 return 1.0 / (m + 1)
 
         det = Odd()
-        assert _miss_lut(det, 49) is None
+        assert _miss_key(det) is None
         m = np.arange(0, 50, dtype=np.int64)
-        assert np.array_equal(
-            _miss_eval(det, 49)(m), _miss_prob_fn(det)(m)
-        )
+        assert np.array_equal(_miss_eval(det)(m), _miss_prob_fn(det)(m))
 
 
 class TestSplitLefts:
