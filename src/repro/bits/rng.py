@@ -9,16 +9,39 @@ This gives two properties the experiment harness relies on:
 * **Insensitivity to ordering** -- adding a component (e.g. one more tag)
   does not perturb the draws of unrelated components.
 
+Draw contract: an :class:`RngStream` on ``seed_seq`` draws exactly what
+``Generator(PCG64(seed_seq))`` draws, but it keeps the PCG64 state itself,
+as Python ints (the 128-bit state and increment, and the
+``has_uint32``/``uinteger`` half-word buffer), and serves two draws
+natively, by numpy's own algorithms:
+
+* scalar ``integers(low, high=None, endpoint=False)`` over the int64
+  range: buffered 32-bit Lemire rejection below 2^32, 64-bit Lemire
+  above, and numpy's own ``ValueError`` on invalid bounds;
+* scalar ``random()``, ``(next64 >> 11) * 2**-53``.
+
+Native draws return a Python ``int`` or ``float`` (numpy's scalar
+``integers`` returns ``np.int64``).  Any other use hands the stream off
+to numpy: a sized draw, another dtype, non-integer bounds, ``choice``,
+``shuffle``, ``exponential``, ``binomial``, ``uniform`` or reading
+``generator``.  The hand-off builds ``Generator(PCG64(seed_seq))`` and
+loads the live state into it.  It is one-way: from then on every draw,
+native ones included, goes through that generator, so there is only ever
+one state.  Unlike numpy's ``Generator``, which locks around each draw,
+a stream must not be drawn from on two threads at once (the gateway
+gives each inventory its own population).
+
 Bulk seeding contract: spawn through :class:`RngStream`; its counter is the
 source of truth.  ``RngStream.spawn(n)`` returns streams bit-identical to
 ``Generator(PCG64(c))`` for ``c`` in ``SeedSequence.spawn(n)``, but it
 computes every child's PCG64 seed words in one vectorized pass of numpy's
 ``SeedSequence`` mixing (O'Neill's ``seed_seq``) instead of building ``n``
-``SeedSequence`` objects.  The stream counts its own children, starting at
-the wrapped sequence's ``n_children_spawned``; the wrapped sequence's
-counter does not advance (numpy makes it read-only), so spawning from
-``generator.bit_generator.seed_seq`` directly is not coordinated with
-``RngStream.spawn``.
+``SeedSequence`` objects; a child builds its own ``SeedSequence`` only
+when it spawns or hands off.  The stream counts its own children,
+starting at the wrapped sequence's ``n_children_spawned``; the wrapped
+sequence's counter does not advance (numpy makes it read-only), so
+spawning from ``generator.bit_generator.seed_seq`` directly is not
+coordinated with ``RngStream.spawn``.
 """
 
 from __future__ import annotations
@@ -82,9 +105,7 @@ def _spawn_base(seq) -> tuple[list[int], list[int], list[int]]:
     """
     # numpy imports numpy.random on first use; reaching for it here, not at
     # module import, keeps that cost off start-up.
-    bit_generator = np.random.bit_generator
-    bit_generator.ISpawnableSeedSequence.register(_BulkSeed)
-    coerce = bit_generator._coerce_to_uint32_array
+    coerce = np.random.bit_generator._coerce_to_uint32_array
     size = seq.pool_size
     run = coerce(seq.entropy).tolist()
     key = coerce(seq.spawn_key).tolist()
@@ -121,94 +142,196 @@ def _child_words(base, start: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-class _BulkSeed:
-    """``SeedSequence(entropy, spawn_key=key, pool_size=...)`` with its PCG64
-    words precomputed; an ``ISpawnableSeedSequence`` (registered by
-    :func:`_spawn_base`).
-
-    The words are handed out once, to the ``PCG64`` that seeds from this
-    object; every other use goes to the real ``SeedSequence``, which is
-    built on first need (``spawn``, other ``generate_state`` shapes,
-    pickling -- which therefore round-trips to a plain ``SeedSequence``).
-    """
-
-    __slots__ = ("entropy", "spawn_key", "pool_size", "_words", "_seq")
-
-    def __init__(self, entropy, spawn_key: tuple, pool_size: int, words) -> None:
-        self.entropy = entropy
-        self.spawn_key = spawn_key
-        self.pool_size = pool_size
-        self._words = words
-        self._seq: np.random.SeedSequence | None = None
-
-    @property
-    def seq(self) -> np.random.SeedSequence:
-        if self._seq is None:
-            self._seq = np.random.SeedSequence(
-                self.entropy, spawn_key=self.spawn_key, pool_size=self.pool_size
-            )
-        return self._seq
-
-    @property
-    def n_children_spawned(self) -> int:
-        return 0 if self._seq is None else self._seq.n_children_spawned
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        words, self._words = self._words, None
-        if words is not None and n_words == 4 and np.dtype(dtype) == np.uint64:
-            return words
-        return self.seq.generate_state(n_words, dtype)
-
-    def spawn(self, n_children):
-        return self.seq.spawn(n_children)
-
-    def __reduce__(self):
-        return self.seq.__reduce__()
+# PCG64 (numpy/random/src/pcg64): a 128-bit LCG with XSL-RR output.
+_M64 = 0xFFFFFFFFFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+#: ``w * _ROT`` is ``w`` twice over, so shifting it right rotates ``w``.
+_ROT = 1 << 64 | 1
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_DOUBLE_UNIT = 1.0 / (1 << 53)
+_INTEGRAL = (int, np.integer)
 
 
-#: The draws an :class:`RngStream` passes through to its generator.
-_DRAWS = (
-    "integers", "random", "choice", "shuffle", "exponential", "binomial", "uniform",
-)
+def _handoff(name: str):
+    """A draw that ``RngStream`` serves by handing off to its generator."""
+
+    def draw(self, *args, **kwargs):
+        return getattr(self.generator, name)(*args, **kwargs)
+
+    draw.__name__ = draw.__qualname__ = name
+    draw.__doc__ = f"``Generator.{name}``; hands the stream off to numpy."
+    return draw
 
 
 class RngStream:
     """A seeded random stream that can spawn independent children.
 
-    Wraps a ``numpy.random.Generator`` on ``PCG64`` and keeps the seed
-    sequence around so substreams can be derived hierarchically and
-    deterministically.  ``integers``, ``random``, ``choice``, ``shuffle``,
-    ``exponential``, ``binomial`` and ``uniform`` are the generator's own
-    bound methods, bound on first use.
+    Draws what ``Generator(PCG64(seed_seq))`` draws; scalar ``integers``
+    and ``random`` run natively on Python ints, everything else hands the
+    stream off to that generator (see the module docstring).  Keeps the
+    seed sequence around so substreams can be derived hierarchically and
+    deterministically.
     """
 
-    __slots__ = ("_seed", "_spawned", "_base", "generator", *_DRAWS)
+    # A bulk child keeps its parent's sequence in ``_seed`` and its spawn
+    # index in ``_index`` until it needs its own sequence.  ``_state`` and
+    # ``_inc`` are PCG64's, ``_has32``/``_u32`` its half-word buffer;
+    # ``_gen`` is the generator after the hand-off.
+    __slots__ = (
+        "_seed", "_index", "_spawned", "_base",
+        "_state", "_inc", "_has32", "_u32", "_gen",
+    )
 
     def __init__(self, seed_seq: np.random.SeedSequence) -> None:
-        self._seed = seed_seq
-        self._spawned = seed_seq.n_children_spawned
-        self._base = None
-        self.generator = np.random.Generator(np.random.PCG64(seed_seq))
+        self._load(seed_seq, None, seed_seq.generate_state(4, np.uint64).tolist())
 
-    def __getattr__(self, name: str):
-        # Reached only while a draw's slot is empty: bind the generator's
-        # method into it on first use.  Draws then skip a wrapper frame,
-        # and a tag holds only the methods it draws with (binding all
-        # seven up front cost ~290 B per tag).
-        if name not in _DRAWS:
-            raise AttributeError(name)
-        method = getattr(self.generator, name)
-        setattr(self, name, method)
-        return method
+    def _load(self, seed, index: int | None, words: list[int]) -> None:
+        """Seed from ``generate_state(4, uint64)`` as ``pcg64_set_seed`` does."""
+        self._seed = seed
+        self._index = index
+        self._spawned = seed.n_children_spawned if index is None else 0
+        self._base = self._gen = None
+        s0, s1, i0, i1 = words
+        inc = (i0 << 64 | i1) << 1 & _M128 | 1
+        self._state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+        self._inc = inc
+        self._has32 = False
+        self._u32 = 0
 
     @classmethod
     def from_seed(cls, seed: int | None) -> "RngStream":
         return cls(np.random.SeedSequence(seed))
 
+    def _seq(self) -> np.random.SeedSequence:
+        """This stream's own ``SeedSequence``, built on first need."""
+        seed = self._seed
+        if self._index is not None:
+            seed = self._seed = np.random.SeedSequence(
+                seed.entropy, spawn_key=seed.spawn_key + (self._index,),
+                pool_size=seed.pool_size,
+            )
+            self._index = None
+        return seed
+
+    # -- native draws --------------------------------------------------
+
+    def _next64(self) -> int:
+        """PCG64's next word: advance the LCG, then XSL-RR output."""
+        state = (self._state * _PCG_MULT + self._inc) & _M128
+        self._state = state
+        # Rotate (hi ^ lo) right by the top 6 state bits.
+        return ((state >> 64 ^ state) & _M64) * _ROT >> (state >> 122) & _M64
+
+    def _next32(self) -> int:
+        """``pcg64_next32``: the low half of a fresh word, then its high half."""
+        if self._has32:
+            self._has32 = False
+            return self._u32
+        word = self._next64()
+        self._has32 = True
+        self._u32 = word >> 32
+        return word & _MASK
+
+    def integers(self, low, high=None, size=None, dtype=None, endpoint=False):
+        """``Generator.integers``; a scalar int64 draw runs natively."""
+        if high is None:
+            low, high = 0, low
+        if size is not None or dtype is not None or self._gen is not None:
+            return self._integers(low, high, size, dtype, endpoint)
+        if type(low) is not int or type(high) is not int:
+            if not (isinstance(low, _INTEGRAL) and isinstance(high, _INTEGRAL)):
+                return self._integers(low, high, size, dtype, endpoint)
+            low, high = int(low), int(high)
+        if not endpoint:
+            high -= 1
+        if low < _INT64_MIN:
+            raise ValueError("low is out of bounds for int64")
+        if high > _INT64_MAX:
+            raise ValueError("high is out of bounds for int64")
+        if low > high:
+            # numpy's format_bounds_error, which names low == 0 specially.
+            if endpoint:
+                raise ValueError("high < 0" if low == 0 else "low > high")
+            raise ValueError("high <= 0" if low == 0 else "low >= high")
+        span = high - low
+        if span < _MASK:
+            if not span:
+                return low
+            # Lemire's rejection on 32-bit words (buffered_bounded_lemire_uint32).
+            excl = span + 1
+            # self._next32() * excl, inlined: this is the per-tag draw.
+            if self._has32:
+                self._has32 = False
+                m = self._u32 * excl
+            else:
+                state = (self._state * _PCG_MULT + self._inc) & _M128
+                self._state = state
+                word = ((state >> 64 ^ state) & _M64) * _ROT >> (state >> 122) & _M64
+                self._has32 = True
+                self._u32 = word >> 32
+                m = (word & _MASK) * excl
+            if (m & _MASK) < excl:
+                threshold = (_MASK - span) % excl
+                while (m & _MASK) < threshold:
+                    m = self._next32() * excl
+            return low + (m >> 32)
+        if span == _MASK:
+            return low + self._next32()
+        if span == _M64:
+            return low + self._next64()
+        # bounded_lemire_uint64.
+        excl = span + 1
+        m = self._next64() * excl
+        if (m & _M64) < excl:
+            threshold = (_M64 - span) % excl
+            while (m & _M64) < threshold:
+                m = self._next64() * excl
+        return low + (m >> 64)
+
+    def _integers(self, low, high, size, dtype, endpoint):
+        return self.generator.integers(
+            low, high, size, np.int64 if dtype is None else dtype, endpoint
+        )
+
+    def random(self, size=None, dtype=None, out=None):
+        """``Generator.random``; a scalar draw runs natively."""
+        if size is None and dtype is None and out is None and self._gen is None:
+            return (self._next64() >> 11) * _DOUBLE_UNIT
+        dtype = np.float64 if dtype is None else dtype
+        return self.generator.random(size, dtype, out)
+
+    # -- the hand-off --------------------------------------------------
+
+    @property
+    def generator(self) -> np.random.Generator:
+        """The stream as a numpy ``Generator``; reading it hands off for good."""
+        gen = self._gen
+        if gen is None:
+            bit_generator = np.random.PCG64(self._seq())
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": int(self._has32),
+                "uinteger": self._u32,
+            }
+            gen = self._gen = np.random.Generator(bit_generator)
+            self._state = self._inc = self._u32 = None
+        return gen
+
+    choice = _handoff("choice")
+    shuffle = _handoff("shuffle")
+    exponential = _handoff("exponential")
+    binomial = _handoff("binomial")
+    uniform = _handoff("uniform")
+
+    # -- spawning ------------------------------------------------------
+
     def spawn(self, n: int) -> list["RngStream"]:
         """Derive ``n`` independent child streams."""
-        seed, start = self._seed, self._spawned
+        start = self._spawned
         self._spawned = start + n
+        seed = self._seq()
         if n < _BULK_MIN or start + n > 1 << 32:
             # A few children, or spawn indices wider than one word: let
             # numpy build each child's SeedSequence.
@@ -221,20 +344,23 @@ class RngStream:
             ]
         if self._base is None:
             self._base = _spawn_base(seed)
-        words = _child_words(self._base, start, n)
-        key = seed.spawn_key
-        return [
-            RngStream(_BulkSeed(seed.entropy, key + (start + j,), seed.pool_size, w))
-            for j, w in enumerate(words)
-        ]
+        new = RngStream.__new__
+        kids = []
+        rows = _child_words(self._base, start, n).tolist()
+        for index, words in enumerate(rows, start):
+            kid = new(RngStream)
+            kid._load(seed, index, words)
+            kids.append(kid)
+        return kids
 
     def child(self) -> "RngStream":
         """Derive a single independent child stream."""
         return self.spawn(1)[0]
 
     def __repr__(self) -> str:
-        seed = self._seed
-        return f"RngStream(entropy={seed.entropy!r}, key={seed.spawn_key!r})"
+        seed, index = self._seed, self._index
+        key = seed.spawn_key if index is None else seed.spawn_key + (index,)
+        return f"RngStream(entropy={seed.entropy!r}, key={key!r})"
 
 
 def make_rng(seed: int | None = None) -> RngStream:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ REFERENCE_READER = (
 #: The frozen slot-by-slot tree protocols (BT, ABS, QT, AQS), the live
 #: protocols' differential oracle, loaded the same way.
 REFERENCE_PROTOCOLS = REFERENCE_READER.with_name("_reference_protocols.py")
+#: The frozen Monte-Carlo kernels, ``repro.sim.batch``'s differential oracle.
+REFERENCE_BATCH = REFERENCE_READER.with_name("_reference_batch.py")
 
 # "ci" replays a fixed example sequence (derandomize) so CI failures are
 # reproducible and never flake on a fresh random draw; "dev" keeps the
@@ -58,15 +61,22 @@ def make_population(rng):
     return _make
 
 
-def _load(path: Path):
+def load_module(path: Path):
+    """Run the file at ``path`` as a module named after its stem.
+
+    The module is registered in ``sys.modules`` before it runs: a
+    dataclass under ``from __future__ import annotations`` looks its
+    module up there while its class body is built.
+    """
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def load_reference_reader():
-    return _load(REFERENCE_READER)
+    return load_module(REFERENCE_READER)
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +88,7 @@ def reference_reader():
 @pytest.fixture(scope="session")
 def reference_protocols():
     """``benchmarks/_reference_protocols.py``, loaded by path."""
-    return _load(REFERENCE_PROTOCOLS)
+    return load_module(REFERENCE_PROTOCOLS)
 
 
 def tier_reader_factory(reference):

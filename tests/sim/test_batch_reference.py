@@ -18,10 +18,7 @@ instead (the contract the ``repro.sim.batch`` docstring states).
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,21 +33,9 @@ from repro.protocols.estimators import LowerBoundEstimator, SchouteEstimator
 from repro.sim import batch as live
 from repro.sim.batch import stats_equal
 
-REPO = Path(__file__).resolve().parents[2]
+from tests.conftest import REFERENCE_BATCH, load_module
 
-
-def _load_reference():
-    path = REPO / "benchmarks" / "_reference_batch.py"
-    spec = importlib.util.spec_from_file_location("_reference_batch", path)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses resolve their string annotations through
-    # sys.modules, so the module must be registered before it runs.
-    sys.modules.setdefault(spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-frozen = _load_reference()
+frozen = load_module(REFERENCE_BATCH)
 
 
 class HalvingDetector(CollisionDetector):

@@ -10,6 +10,9 @@ its streams or vectorizes its ID draws.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,3 +100,23 @@ def test_duplicate_case_really_hits_duplicates():
     """The (10-bit, 300-tag) case must exercise the fallback loop."""
     draws = _gen(np.random.SeedSequence(SEED).spawn(1)[0]).integers(0, 1 << 10, 600)
     assert len(set(draws[:300].tolist())) < 300
+
+
+def test_memory_per_tag():
+    """A tag's stream is Python-int PCG64 state, not a numpy generator:
+    a 5 000-tag population that has drawn once per tag keeps < 800 B a
+    tag (a ``PCG64`` plus ``Generator`` per tag kept ~1 020 B)."""
+    n = 5000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pop = TagPopulation(n, id_bits=64, rng=make_rng(SEED))
+        for tag in pop:
+            tag.rng.integers(0, 300)
+        gc.collect()
+        per_tag = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(pop) == n
+    assert per_tag < 800
