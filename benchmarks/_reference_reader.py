@@ -17,6 +17,9 @@ times it as the ``object_ms`` denominator of the reader speedup ratios
 (loaded from ``--frozen-dir``).  It is not part of the library and must
 not be imported from ``src/``.  Only the invariant hook changed: it hands
 ``check_slot`` the signal as a packed int, the form that function takes.
+Its per-slot obs hook, :func:`record_slot`, is the library's per-slot
+recorder frozen here when the library folded it into the bulk
+``instruments.record_slots``.
 """
 
 from __future__ import annotations
@@ -277,8 +280,54 @@ class Reader:
                 None if signal is None else signal.to_int(),
             )
         if _OBS.enabled:
-            _inst.record_slot(record)
+            record_slot(record)
         return time, record
+
+
+def record_slot(record: SlotRecord) -> None:
+    """Per-slot counters and a ``slot`` trace event: the live
+    ``repro.obs.instruments.record_slot`` as it stood before the live
+    Reader tallied its counters from trace columns."""
+    reg = _OBS.registry
+    true_name = record.true_type.name
+    detected_name = record.detected_type.name
+    reg.counter(
+        _inst.SLOTS,
+        "Slots executed, by ground-truth and detected verdict",
+        labelnames=("true_type", "detected_type"),
+    ).labels(true_type=true_name, detected_type=detected_name).inc()
+    if record.identified_tag is not None:
+        reg.counter(_inst.IDENTIFIED, "Tags successfully identified").inc()
+    if record.lost_tags:
+        reg.counter(
+            _inst.LOST, "Tags lost to misdetection ('lost' policy)"
+        ).inc(record.lost_tags)
+    if record.captured:
+        reg.counter(
+            _inst.CAPTURES, "Collided slots resolved by the capture effect"
+        ).inc()
+    elif true_name == "COLLIDED" and detected_name == "SINGLE":
+        reg.counter(
+            _inst.MISDETECTIONS, "Detector errors by kind",
+            labelnames=("kind",),
+        ).labels(kind="missed_collision").inc()
+    elif true_name == "SINGLE" and detected_name == "COLLIDED":
+        reg.counter(
+            _inst.MISDETECTIONS, "Detector errors by kind",
+            labelnames=("kind",),
+        ).labels(kind="false_collision").inc()
+    tracer = _OBS.tracer
+    if tracer.discards:
+        return
+    tracer.event(
+        "slot",
+        index=record.index,
+        frame=record.frame,
+        true_type=true_name,
+        detected_type=detected_name,
+        n_responders=record.n_responders,
+        duration=record.duration,
+    )
 
 
 def _enter_frame_span(

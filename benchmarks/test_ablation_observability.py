@@ -33,9 +33,9 @@ from repro.sim.reader import (
     InventoryResult,
     Reader,
     _true_type,
-    record_effective,
+    effective_type,
 )
-from repro.sim.trace import SlotRecord
+from repro.sim.trace import SlotTrace
 from repro.tags.population import TagPopulation
 
 N = 600
@@ -67,7 +67,7 @@ def baseline_inventory(reader, tags, protocol) -> InventoryResult:
     """
     detector = reader.detector
     detector.reset_instrumentation()
-    trace: list[SlotRecord] = []
+    trace = SlotTrace()
     identified: list[int] = []
     lost: list[int] = []
     time_ = 0.0
@@ -90,12 +90,11 @@ def baseline_inventory(reader, tags, protocol) -> InventoryResult:
         if index >= reader.max_slots:
             raise RuntimeError("inventory exceeded max_slots")
         responders = protocol.responders()
-        time_, record = _baseline_slot(
+        time_, effective = _baseline_slot(
             reader, index, time_, protocol, responders, identified, lost,
-            bits,
+            trace, bits,
         )
-        trace.append(record)
-        protocol.feedback(record_effective(record, reader.policy), responders)
+        protocol.feedback(effective, responders)
         index += 1
     stats = InventoryStats.from_trace(
         trace,
@@ -110,7 +109,7 @@ def baseline_inventory(reader, tags, protocol) -> InventoryResult:
 
 
 def _baseline_slot(
-    reader, index, time_, protocol, responders, identified, lost, bits
+    reader, index, time_, protocol, responders, identified, lost, trace, bits
 ):
     """``Reader._run_slot`` without its slot event and invariant check."""
     detector = reader.detector
@@ -148,19 +147,11 @@ def _baseline_slot(
                 tag.lost = True
                 lost.append(tag.tag_id)
             lost_count = len(responders)
-    record = SlotRecord(
-        index=index,
-        frame=max(1, protocol.frames_started),
-        n_responders=len(responders),
-        true_type=true_type,
-        detected_type=detected,
-        duration=duration,
-        end_time=time_,
-        identified_tag=identified_tag,
-        lost_tags=lost_count,
-        captured=captured,
+    trace.append(
+        index, max(1, protocol.frames_started), len(responders), true_type,
+        detected, duration, time_, identified_tag, lost_count, captured,
     )
-    return time_, record
+    return time_, effective_type(true_type, detected, captured, reader.policy)
 
 
 def _fresh_workload():

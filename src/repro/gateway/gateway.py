@@ -516,19 +516,18 @@ class GatewayApp(Service):
                 "Seconds from START_INVENTORY to each TAG_REPORT",
                 buckets=REPORT_SECONDS_BUCKETS,
             )
-        for record in result.trace:
-            if record.identified_tag is None:
-                continue
+        trace = result.trace
+        for row, tag_id in zip(trace.identified_rows, trace.identified_tags):
             if sess.stop_requested:
                 break
             await conn.send(
                 codec.TagReport(
                     reader_id=spec.reader_id,
                     session=sess.session_id,
-                    slot=record.index,
-                    frame=record.frame,
-                    tag_id=record.identified_tag,
-                    airtime=record.end_time,
+                    slot=trace.index[row],
+                    frame=trace.frame[row],
+                    tag_id=tag_id,
+                    airtime=trace.end_time[row],
                 )
             )
             if histogram is not None:

@@ -12,12 +12,15 @@ enabled mode.  The contract that makes the dumps trustworthy:
 * summing ``repro_slots_total`` over ``detected_type`` grouped by
   ``true_type`` reproduces :func:`repro.sim.metrics.slot_counts` of the
   same run exactly (and vice versa for detected counts), whether the run
-  went through the exact reader (per-slot increments, or per-frame bulk
-  increments on its frame-batched tier) or a vectorized kernel (bulk
+  went through the exact reader (:func:`record_slots` over its trace
+  columns, per slot or per batched frame) or a vectorized kernel (bulk
   increments from the synthesized stats).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from operator import indexOf
 
 from repro.obs.state import STATE
 
@@ -63,7 +66,6 @@ __all__ = [
     "GATEWAY_CONNECTIONS",
     "GATEWAY_INVENTORIES",
     "GATEWAY_REPORT_SECONDS",
-    "record_slot",
     "record_slots",
     "record_inventory",
     "record_kernel_stats",
@@ -156,6 +158,12 @@ _LOST_KEY = (LOST,)
 _CAPTURES_KEY = (CAPTURES,)
 _MISSED_KEY = (MISDETECTIONS, "missed_collision")
 _FALSE_KEY = (MISDETECTIONS, "false_collision")
+#: ``SlotType`` names by code, as the trace columns store the types.
+_TYPE_NAMES = ("IDLE", "SINGLE", "COLLIDED")
+#: (true, detected, captured) codes of an uncaptured missed collision
+#: (collided read single) and of a false collision (single read collided).
+_MISSED_ROW = (2, 1, 0)
+_FALSE_ROW = (1, 2, 0)
 
 
 def _misdetections_counter():
@@ -172,93 +180,78 @@ def _slots_counter():
     )
 
 
-def record_slot(record) -> None:
-    """Per-slot counters + a ``slot`` trace event (exact reader path).
+def record_slots(trace, start: int = 0) -> None:
+    """Slot counters and ``slot`` trace events for rows ``start:`` of a
+    :class:`repro.sim.trace.SlotTrace` (typed loosely to keep
+    :mod:`repro.obs` import-independent of :mod:`repro.sim`).
 
-    ``record`` is a :class:`repro.sim.trace.SlotRecord`; typed loosely to
-    keep :mod:`repro.obs` import-independent of :mod:`repro.sim`.
+    The exact reader calls it once per batched frame and once per slot
+    on its per-slot loop.  The counters are tallied from the type-code
+    columns with C-level counting (no Python loop over the rows) and
+    applied with one ``inc(n)`` per family and label combination.  The
+    registry gains the same families and children, in the same order
+    and with the same values, as one slot at a time would give: children
+    in the order of their first row, families in the order of their
+    first row and, within a row, slots -> identified -> lost -> capture
+    or misdetection.  The ``slot`` events follow in slot order, built
+    only when the tracer's sink keeps them.
     """
-    reg = STATE.registry
-    true_name = record.true_type.name
-    detected_name = record.detected_type.name
-    _slots_counter().labels(
-        true_type=true_name, detected_type=detected_name
-    ).inc()
-    if record.identified_tag is not None:
-        reg.counter(IDENTIFIED, _HELP[IDENTIFIED]).inc()
-    if record.lost_tags:
-        reg.counter(LOST, _HELP[LOST]).inc(record.lost_tags)
-    if record.captured:
-        reg.counter(CAPTURES, _HELP[CAPTURES]).inc()
-    elif true_name == "COLLIDED" and detected_name == "SINGLE":
-        _misdetections_counter().labels(kind="missed_collision").inc()
-    elif true_name == "SINGLE" and detected_name == "COLLIDED":
-        _misdetections_counter().labels(kind="false_collision").inc()
-    tracer = STATE.tracer
-    if tracer.discards:
+    true = trace.true_type[start:]
+    if not true:
         return
-    tracer.event(
-        "slot",
-        index=record.index,
-        frame=record.frame,
-        true_type=true_name,
-        detected_type=detected_name,
-        n_responders=record.n_responders,
-        duration=record.duration,
-    )
-
-
-def record_slots(records) -> None:
-    """Bulk :func:`record_slot` over consecutive records (one batched frame).
-
-    The increments are tallied first, keyed in first-occurrence order, and
-    then applied with one ``inc(n)`` per family and label combination, so
-    the registry gains the same families and children, in the same order
-    and with the same values, as one :func:`record_slot` call per record.
-    The ``slot`` events follow in slot order (none are built when the
-    tracer's sink discards them).  The branches mirror :func:`record_slot`'s; keep the two in step
-    (``tests/obs/test_reader_obs_paths.py`` pins them equal).
-    """
-    tally: dict[tuple[str, ...], int] = {}
-    get = tally.get
-    for record in records:
-        true_name = record.true_type.name
-        detected_name = record.detected_type.name
-        key = (SLOTS, true_name, detected_name)
-        tally[key] = get(key, 0) + 1
-        if record.identified_tag is not None:
-            tally[_IDENTIFIED_KEY] = get(_IDENTIFIED_KEY, 0) + 1
-        if record.lost_tags:
-            tally[_LOST_KEY] = get(_LOST_KEY, 0) + record.lost_tags
-        if record.captured:
-            tally[_CAPTURES_KEY] = get(_CAPTURES_KEY, 0) + 1
-        elif true_name == "COLLIDED" and detected_name == "SINGLE":
-            tally[_MISSED_KEY] = get(_MISSED_KEY, 0) + 1
-        elif true_name == "SINGLE" and detected_name == "COLLIDED":
-            tally[_FALSE_KEY] = get(_FALSE_KEY, 0) + 1
+    detected = trace.detected_type[start:]
+    captured = trace.captured[start:]
+    lost = trace.lost_tags[start:]
+    # (true, detected, captured) -> rows, keyed in first-row order.
+    codes = list(zip(true, detected, captured))
+    combos = {combo: codes.count(combo) for combo in dict.fromkeys(codes)}
+    slots: dict[tuple[int, int], int] = {}
+    for (t, d, _), n in combos.items():
+        slots[t, d] = slots.get((t, d), 0) + n
+    counter = _slots_counter()
+    for (t, d), n in slots.items():
+        counter.labels(
+            true_type=_TYPE_NAMES[t], detected_type=_TYPE_NAMES[d]
+        ).inc(n)
+    # (first row, rank within a row, family key, increment)
+    later = []
+    rows = trace.identified_rows
+    skipped = bisect_left(rows, start)
+    if skipped < len(rows):
+        later.append(
+            (rows[skipped] - start, 1, _IDENTIFIED_KEY, len(rows) - skipped)
+        )
+    n_lost = sum(lost)
+    if n_lost:
+        later.append((indexOf(map(bool, lost), True), 2, _LOST_KEY, n_lost))
+    n_captured = captured.count(1)
+    if n_captured:
+        later.append((captured.index(1), 3, _CAPTURES_KEY, n_captured))
+    for row, key in ((_MISSED_ROW, _MISSED_KEY), (_FALSE_ROW, _FALSE_KEY)):
+        n = combos.get(row)
+        if n:
+            later.append((codes.index(row), 3, key, n))
     reg = STATE.registry
-    for key, n in tally.items():
-        name = key[0]
-        if name == SLOTS:
-            _slots_counter().labels(
-                true_type=key[1], detected_type=key[2]
-            ).inc(n)
-        elif name == MISDETECTIONS:
+    for _, _, key, n in sorted(later):
+        if key[0] == MISDETECTIONS:
             _misdetections_counter().labels(kind=key[1]).inc(n)
         else:
-            reg.counter(name, _HELP[name]).inc(n)
+            reg.counter(key[0], _HELP[key[0]]).inc(n)
     tracer = STATE.tracer
     if tracer.discards:
         return
-    for record in records:
+    for index, frame, t, d, n, duration in zip(
+        trace.index[start:], trace.frame[start:], true, detected,
+        trace.n_responders[start:], trace.duration[start:],
+    ):
         tracer.event(
             "slot",
-            index=record.index,
-            frame=record.frame,
-            true_type=record.true_type.name,
-            detected_type=record.detected_type.name,
-            n_responders=record.n_responders,
-            duration=record.duration,
+            index=index,
+            frame=frame,
+            true_type=_TYPE_NAMES[t],
+            detected_type=_TYPE_NAMES[d],
+            n_responders=n,
+            duration=duration,
         )
 
 

@@ -46,10 +46,11 @@ from repro.sim.monitoring import ContinuousMonitor, MonitoringResult
 from repro.sim.multireader import MultiReaderResult, run_multireader_inventory
 from repro.sim.reader import InventoryResult, Reader
 from repro.sim.scheduling import color_schedule, interference_graph
-from repro.sim.trace import SlotRecord
+from repro.sim.trace import SlotRecord, SlotTrace
 
 __all__ = [
     "SlotRecord",
+    "SlotTrace",
     "SlotCounts",
     "DelayStats",
     "InventoryStats",

@@ -24,7 +24,7 @@ from typing import Sequence
 from repro.core.crc_cd import CRCCDDetector
 from repro.core.detector import CollisionDetector, SlotType
 from repro.core.timing import TimingModel
-from repro.sim.trace import SlotRecord
+from repro.sim.trace import SlotRecord, SlotTrace
 
 __all__ = ["EnergyModel", "EnergyBreakdown", "inventory_energy"]
 
@@ -96,23 +96,23 @@ def inventory_energy(
 ) -> EnergyBreakdown:
     """Compute the energy breakdown of a completed inventory trace."""
     model = model if model is not None else EnergyModel()
+    trace = SlotTrace.from_records(trace)
     instr = _instructions_per_response(detector)
     tx_time = 0.0
     responses = 0
-    for rec in trace:
-        if rec.n_responders == 0:
+    for n_responders, detected in zip(
+        trace.n_responders, trace.detected_type
+    ):
+        if n_responders == 0:
             continue
-        responses += rec.n_responders
-        tx_time += rec.n_responders * detector.contention_bits * timing.tau
-        if (
-            detector.needs_id_phase
-            and rec.detected_type is SlotType.SINGLE
-        ):
+        responses += n_responders
+        tx_time += n_responders * detector.contention_bits * timing.tau
+        if detector.needs_id_phase and detected == SlotType.SINGLE:
             id_bits = timing.id_bits + (
                 timing.crc_bits if timing.guard_id_phase else 0
             )
             tx_time += id_bits * timing.tau
-    total_time = sum(r.duration for r in trace)
+    total_time = sum(trace.duration)
     return EnergyBreakdown(
         tag_transmit=tx_time * model.tag_tx_uw * 1e-6,
         tag_compute=responses * instr * model.instr_nj * 1e-3,

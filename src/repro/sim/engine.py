@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from repro.obs import instruments as _inst
 from repro.obs.state import STATE as _OBS
 from repro.sim.metrics import DelayStats, InventoryStats
-from repro.sim.reader import Reader, record_effective
-from repro.sim.trace import SlotRecord
+from repro.sim.reader import Reader
+from repro.sim.trace import SlotTrace
 from repro.tags.mobility import MobilitySchedule
 from repro.tags.tag import Tag
 from repro.verify.invariants import STATE as _INV
@@ -34,7 +34,7 @@ __all__ = ["MobileInventoryEngine", "MobileInventoryResult"]
 class MobileInventoryResult:
     """Outcome of a mobile-population inventory."""
 
-    trace: list[SlotRecord]
+    trace: SlotTrace
     stats: InventoryStats
     identified_ids: list[int]
     escaped_ids: list[int]
@@ -73,7 +73,7 @@ class MobileInventoryEngine:
     ) -> MobileInventoryResult:
         """Run until the schedule is exhausted and the backlog identified."""
         tags0 = list(initial_tags or [])
-        trace: list[SlotRecord] = []
+        trace = SlotTrace()
         identified: list[int] = []
         lost: list[int] = []
         escaped: list[int] = []
@@ -135,19 +135,16 @@ class MobileInventoryEngine:
                     _OBS.tracer.end_span(aborted=True)
                 raise RuntimeError(f"exceeded max_slots={self.max_slots}")
             responders = protocol.responders()
-            time, record = self.reader._run_slot(
-                index, time, protocol, responders, identified, lost, bits
+            n_identified = len(identified)
+            time, effective = self.reader._run_slot(
+                index, time, protocol, responders, identified, lost, trace,
+                bits,
             )
-            if record.identified_tag is not None:
-                tag = next(
-                    t for t in responders if t.tag_id == record.identified_tag
-                )
+            if len(identified) > n_identified:
+                tag = next(t for t in responders if t.tag_id == identified[-1])
                 arrived = self._arrivals.get(id(tag), 0.0)
-                sojourns.append(record.end_time - arrived)
-            trace.append(record)
-            protocol.feedback(
-                record_effective(record, self.reader.policy), responders
-            )
+                sojourns.append(time - arrived)
+            protocol.feedback(effective, responders)
             index += 1
         stats = InventoryStats.from_trace(
             trace,

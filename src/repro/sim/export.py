@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro.core.detector import SlotType
 from repro.sim.metrics import InventoryStats
-from repro.sim.trace import SlotRecord
+from repro.sim.trace import COLUMNS, SlotRecord, SlotTrace
 
 __all__ = [
     "nan_to_none",
@@ -53,18 +53,7 @@ def nan_to_none(obj: object) -> object:
 
 #: Column order of a flattened slot record (also the header of an empty
 #: CSV, so downstream parsers always see the schema).
-TRACE_FIELDS: tuple[str, ...] = (
-    "index",
-    "frame",
-    "n_responders",
-    "true_type",
-    "detected_type",
-    "duration",
-    "end_time",
-    "identified_tag",
-    "lost_tags",
-    "captured",
-)
+TRACE_FIELDS: tuple[str, ...] = COLUMNS
 
 _INT_FIELDS = ("index", "frame", "n_responders", "lost_tags")
 _FLOAT_FIELDS = ("duration", "end_time")
@@ -72,13 +61,23 @@ _FLOAT_FIELDS = ("duration", "end_time")
 
 def trace_to_rows(trace: Sequence[SlotRecord]) -> list[dict[str, object]]:
     """Flatten slot records; enum fields become their names."""
-    rows = []
-    for rec in trace:
-        row = asdict(rec)
-        row["true_type"] = rec.true_type.name
-        row["detected_type"] = rec.detected_type.name
-        rows.append(row)
-    return rows
+    trace = SlotTrace.from_records(trace)
+    name = [kind.name for kind in SlotType].__getitem__
+    return [
+        dict(zip(TRACE_FIELDS, row))
+        for row in zip(
+            trace.index,
+            trace.frame,
+            trace.n_responders,
+            map(name, trace.true_type),
+            map(name, trace.detected_type),
+            trace.duration,
+            trace.end_time,
+            trace.identified_column(),
+            trace.lost_tags,
+            map(bool, trace.captured),
+        )
+    ]
 
 
 def stats_to_dict(stats: InventoryStats) -> dict[str, object]:

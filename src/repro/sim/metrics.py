@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.detector import SlotType
-from repro.sim.trace import SlotRecord
+from repro.sim.trace import SlotRecord, SlotTrace
 
 __all__ = [
     "SlotCounts",
@@ -126,16 +126,11 @@ def slot_counts(
     trace: Sequence[SlotRecord], detected: bool = False
 ) -> SlotCounts:
     """Count slots by true type (default) or detected type."""
-    idle = single = collided = 0
-    for rec in trace:
-        kind = rec.detected_type if detected else rec.true_type
-        if kind is SlotType.IDLE:
-            idle += 1
-        elif kind is SlotType.SINGLE:
-            single += 1
-        else:
-            collided += 1
-    return SlotCounts(idle, single, collided)
+    trace = SlotTrace.from_records(trace)
+    kinds = trace.detected_type if detected else trace.true_type
+    idle = kinds.count(SlotType.IDLE)
+    single = kinds.count(SlotType.SINGLE)
+    return SlotCounts(idle, single, len(kinds) - idle - single)
 
 
 def detection_accuracy(trace: Sequence[SlotRecord]) -> float:
@@ -220,7 +215,8 @@ class InventoryStats:
         id_bits: int,
         tau: float = 1.0,
     ) -> "InventoryStats":
-        """Every field in one pass over ``trace``.
+        """Every field from the columns of ``trace`` (a list of records is
+        converted first).
 
         Equal, field for field, to the pure functions above applied one
         by one.  The airtime total stays the builtin ``sum`` over the
@@ -228,24 +224,24 @@ class InventoryStats:
         sum, so neither a running ``+=`` nor ``np.sum`` matches it on
         every supported Python.
         """
+        trace = SlotTrace.from_records(trace)
         # counts[captured][true][detected]: slots by flag and both types.
-        counts = [[[0] * 3 for _ in range(3)] for _ in range(2)]
-        lost = 0
-        delays: list[float] = []
-        durations: list[float] = []
-        for r in trace:
-            counts[r.captured][r.true_type][r.detected_type] += 1
-            durations.append(r.duration)
-            if r.identified_tag is not None:
-                delays.append(r.end_time)
-            lost += r.lost_tags
+        codes = (
+            9 * np.frombuffer(trace.captured, np.int8)
+            + 3 * np.frombuffer(trace.true_type, np.int8)
+            + np.frombuffer(trace.detected_type, np.int8)
+        )
+        counts = np.bincount(codes, minlength=18).reshape(2, 3, 3).tolist()
         plain, captured = counts
         both = [[a + b for a, b in zip(*rows)] for rows in zip(plain, captured)]
         true = SlotCounts(*map(sum, both))
         det = SlotCounts(*map(sum, zip(*both)))
         # Captured slots count neither as misses nor in accuracy's base.
         collided = sum(plain[SlotType.COLLIDED])
-        total = sum(durations)
+        total = sum(trace.duration)
+        delays = np.frombuffer(trace.end_time, np.float64)[
+            np.frombuffer(trace.identified_rows, np.int64)
+        ].tolist()
         return cls(
             n_tags=n_tags,
             frames=frames,
@@ -261,6 +257,6 @@ class InventoryStats:
             utilization=true.single * id_bits * tau / total if total else 0.0,
             missed_collisions=plain[SlotType.COLLIDED][SlotType.SINGLE],
             false_collisions=both[SlotType.SINGLE][SlotType.COLLIDED],
-            lost_tags=lost,
+            lost_tags=int(np.frombuffer(trace.lost_tags, np.int64).sum()),
             captures=sum(map(sum, captured)),
         )

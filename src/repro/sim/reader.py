@@ -52,7 +52,7 @@ from repro.obs.profiling import profile
 from repro.obs.state import STATE as _OBS
 from repro.protocols.base import AntiCollisionProtocol
 from repro.sim.metrics import InventoryStats
-from repro.sim.trace import SlotRecord, build_record
+from repro.sim.trace import SlotRecord, SlotTrace
 from repro.tags.tag import Tag
 from repro.verify.invariants import STATE as _INV
 from repro.verify.invariants import check_inventory as _check_inventory
@@ -62,15 +62,11 @@ __all__ = ["Reader", "InventoryResult", "POLICIES"]
 
 POLICIES = ("paper", "crc_guard", "lost")
 
-#: Int verdict -> SlotType, for the frame-batched path's int arrays.
-_SLOT_TYPES = (SlotType.IDLE, SlotType.SINGLE, SlotType.COLLIDED)
-
-
 @dataclass
 class InventoryResult:
     """Outcome of one inventory run."""
 
-    trace: list[SlotRecord]
+    trace: SlotTrace
     stats: InventoryStats
     identified_ids: list[int]
     lost_ids: list[int]
@@ -173,7 +169,7 @@ class Reader:
     ) -> InventoryResult:
         detector = self.detector
         detector.reset_instrumentation()
-        trace: list[SlotRecord] = []
+        trace = SlotTrace()
         identified: list[int] = []
         lost: list[int] = []
         time = start_time
@@ -223,7 +219,7 @@ class Reader:
                                 identified, lost, trace,
                             )
                             if obs_on:
-                                _inst.record_slots(trace[first:])
+                                _inst.record_slots(trace, first)
                             continue
                     if index >= self.max_slots:
                         raise RuntimeError(
@@ -235,14 +231,11 @@ class Reader:
                         current_frame = _enter_frame_span(
                             protocol, current_frame
                         )
-                    time, record = self._run_slot(
+                    time, effective = self._run_slot(
                         index, time, protocol, responders, identified, lost,
-                        bits,
+                        trace, bits,
                     )
-                    trace.append(record)
-                    protocol.feedback(
-                        record_effective(record, self.policy), responders
-                    )
+                    protocol.feedback(effective, responders)
                     index += 1
         finally:
             if obs_on:
@@ -285,7 +278,7 @@ class Reader:
         bits: int,
         identified: list[int],
         lost: list[int],
-        trace: list[SlotRecord],
+        trace: SlotTrace,
     ) -> tuple[float, int]:
         """One whole frame through the vectorized fast path.
 
@@ -294,9 +287,9 @@ class Reader:
         stream, and only a tag's own slot consumes it, so drawing the
         frame upfront is stream-identical, and the channel draws the
         frame's bit errors in per-slot order), same verdicts, counters and
-        ``SlotRecord`` traces.  End times come from a prefix sum over the
-        slot durations, which reproduces the sequential ``time +=
-        duration`` left fold bit-exactly.
+        trace rows, appended to ``trace`` in one batch.  End times come
+        from a prefix sum over the slot durations, which reproduces the
+        sequential ``time += duration`` left fold bit-exactly.
         """
         detector = self.detector
         frame_size = len(partition)
@@ -321,43 +314,38 @@ class Reader:
         )
         detected = detector.classify_packed_many(superposed, counts)
         counts_list = counts.tolist()
-        detected_list = detected.tolist()
         timing = self.timing
-        type_durations = (
-            timing.slot_duration(detector, SlotType.IDLE),
-            timing.slot_duration(detector, SlotType.SINGLE),
-            timing.slot_duration(detector, SlotType.COLLIDED),
+        type_durations = np.array(
+            [timing.slot_duration(detector, t) for t in SlotType]
         )
-        durations = [type_durations[d] for d in detected_list]
+        durations = type_durations[detected]
         acc = np.empty(frame_size + 1, dtype=np.float64)
         acc[0] = time
         acc[1:] = durations
-        end_times = np.add.accumulate(acc)[1:].tolist()
+        end_times = np.add.accumulate(acc)[1:]
 
         singles = detected == int(SlotType.SINGLE)
         true_single_slots = np.flatnonzero(singles & (counts == 1))
         missed_slots = np.flatnonzero(singles & (counts > 1))
-        gained = np.zeros(frame_size, dtype=np.intp)
-        identified_tags: list[int | None] = [None] * frame_size
-        lost_counts = [0] * frame_size
-        for slot in true_single_slots.tolist():
+        first_identified = len(identified)
+        for slot, end in zip(
+            true_single_slots.tolist(), end_times[true_single_slots].tolist()
+        ):
             tag = partition[slot][0]
-            tag.mark_identified(end_times[slot])
+            tag.mark_identified(end)
             identified.append(tag.tag_id)
-            identified_tags[slot] = tag.tag_id
-        if len(true_single_slots):
-            gained[true_single_slots] = 1
+        lost_counts = np.zeros(frame_size, dtype=np.intp)
         if self.policy == "lost" and len(missed_slots):
             # The collided tags hear an ACK for the garbled ID and retire
             # believing they were read.
             for slot in missed_slots.tolist():
-                bucket = partition[slot]
-                for tag in bucket:
+                for tag in partition[slot]:
                     tag.identified = True
                     tag.lost = True
                     lost.append(tag.tag_id)
-                lost_counts[slot] = len(bucket)
-                gained[slot] = len(bucket)
+            lost_counts[missed_slots] = counts[missed_slots]
+        gained = lost_counts.copy()
+        gained[true_single_slots] = 1
         remaining = total - np.cumsum(gained)
 
         true_types = np.minimum(counts, 2)
@@ -370,36 +358,27 @@ class Reader:
             effective[missed_slots] = int(SlotType.SINGLE)
         if false_collisions.any():
             # Bit errors (or a custom classifier) can misread a true
-            # single; the tag re-contends, exactly as record_effective
+            # single; the tag re-contends, exactly as effective_type
             # feeds back.
             if effective is true_types:
                 effective = true_types.copy()
             effective[false_collisions] = int(SlotType.COLLIDED)
         protocol.feedback_frame(effective.tolist(), counts_list, remaining)
 
-        true_list = true_types.tolist()
-        append = trace.append
-        slot_index = index
-        for n_resp, true, det, duration, end, ident, lost_n in zip(
-            counts_list, true_list, detected_list, durations,
-            end_times, identified_tags, lost_counts,
-        ):
-            append(
-                build_record(
-                    slot_index, frame_no, n_resp, _SLOT_TYPES[true],
-                    _SLOT_TYPES[det], duration, end, ident, lost_n, False,
-                )
-            )
-            slot_index += 1
+        first = len(trace)
+        trace.append_frame(
+            index, frame_no, counts, true_types, detected, durations,
+            end_times, lost_counts, true_single_slots,
+            identified[first_identified:],
+        )
         if _INV.enabled:
-            for record, n_resp, value in zip(
-                trace[len(trace) - frame_size:], counts_list,
-                superposed.tolist(),
+            for row, n_resp, value in zip(
+                range(first, len(trace)), counts_list, superposed.tolist()
             ):
                 _check_slot(
-                    record, detector, timing, value if n_resp else None
+                    trace[row], detector, timing, value if n_resp else None
                 )
-        return end_times[-1], index + frame_size
+        return float(end_times[-1]), index + frame_size
 
     def _run_slot(
         self,
@@ -409,10 +388,13 @@ class Reader:
         responders: list[Tag],
         identified: list[int],
         lost: list[int],
+        trace: SlotTrace,
         bits: int | None = None,
-    ) -> tuple[float, SlotRecord]:
-        """One slot; ``bits`` is ``detector.packed_bits``, which a caller
-        running many slots reads once and passes in."""
+    ) -> tuple[float, SlotType]:
+        """One slot, appended to ``trace``; returns the new time and the
+        slot type the tags experienced (:func:`effective_type`).  ``bits``
+        is ``detector.packed_bits``, which a caller running many slots
+        reads once and passes in."""
         detector = self.detector
         if bits is None:
             bits = detector.packed_bits
@@ -455,16 +437,18 @@ class Reader:
                     tag.lost = True
                     lost.append(tag.tag_id)
                 lost_count = len(responders)
-        record = build_record(
+        trace.append(
             index, max(1, protocol.frames_started), len(responders),
             true_type, detected, duration, time, identified_tag, lost_count,
             captured,
         )
         if _INV.enabled:
-            _check_slot(record, detector, self.timing, value)
+            _check_slot(trace[-1], detector, self.timing, value)
         if _OBS.enabled:
-            _inst.record_slot(record)
-        return time, record
+            _inst.record_slots(trace, len(trace) - 1)
+        return time, effective_type(
+            true_type, detected, captured, self.policy
+        )
 
 
 def _enter_frame_span(
@@ -492,26 +476,31 @@ def _true_type(n_responders: int) -> SlotType:
 
 
 def record_effective(record: SlotRecord, policy: str) -> SlotType:
+    """:func:`effective_type` of a :class:`SlotRecord`."""
+    return effective_type(
+        record.true_type, record.detected_type, record.captured, policy
+    )
+
+
+def effective_type(
+    true_type: SlotType, detected_type: SlotType, captured: bool, policy: str
+) -> SlotType:
     """The slot type the *tags* experience, per the misdetection policy.
 
     Under ``"paper"`` and ``"crc_guard"`` the process follows ground truth
     (the guard physically restores truth; the paper's accounting assumes
     it); under ``"lost"`` a missed collision reads SINGLE to the tags.
     """
-    if record.captured:
+    if captured:
         # The captured tag retired (the reader marked it identified); the
         # remaining responders experienced an unresolved collision.
         return SlotType.COLLIDED
     # A noise-induced false collision (true single read as collided) makes
     # the tag re-contend under every policy: the reader never ACKed it.
-    if (
-        record.true_type is SlotType.SINGLE
-        and record.detected_type is SlotType.COLLIDED
-    ):
+    if true_type is SlotType.SINGLE and detected_type is SlotType.COLLIDED:
         return SlotType.COLLIDED
     if policy == "lost" and (
-        record.true_type is SlotType.COLLIDED
-        and record.detected_type is SlotType.SINGLE
+        true_type is SlotType.COLLIDED and detected_type is SlotType.SINGLE
     ):
         return SlotType.SINGLE
-    return record.true_type
+    return true_type

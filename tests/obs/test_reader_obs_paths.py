@@ -198,7 +198,9 @@ def test_max_slots_falls_back_mid_inventory(tier_reader, protocol):
     assert registry[inst.SLOTS]["samples"]
 
 
-def test_record_slots_equals_record_slot_per_record():
+def test_record_slots_equals_record_slot_per_record(reference_reader):
+    """One bulk pass over a trace's columns against the frozen per-slot
+    recorder, record by record: same events, same registry dump."""
     pop = TagPopulation(80, id_bits=ID_BITS, rng=make_rng(5))
     reader = Reader(
         QCDDetector(2), TimingModel(id_bits=ID_BITS), policy="lost"
@@ -214,7 +216,7 @@ def test_record_slots_equals_record_slot_per_record():
         return _normalise(sink.records), obs.STATE.registry.to_prometheus()
 
     bulk = recorded(lambda: inst.record_slots(trace))
-    single = recorded(lambda: [inst.record_slot(r) for r in trace])
+    single = recorded(lambda: [reference_reader.record_slot(r) for r in trace])
     assert bulk == single
 
 

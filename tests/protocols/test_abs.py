@@ -67,16 +67,17 @@ class TestArrivals:
         # Run a few slots, then admit a newcomer.
         identified, lost = [], []
         index, time = 0, 0.0
-        from repro.sim.reader import record_effective
+        from repro.sim.trace import SlotTrace
 
+        trace = SlotTrace()
         while not proto.finished:
             if index == 3:
                 proto.admit(extra)
             responders = proto.responders()
-            time, record = reader._run_slot(
-                index, time, proto, responders, identified, lost
+            time, effective = reader._run_slot(
+                index, time, proto, responders, identified, lost, trace
             )
-            proto.feedback(record_effective(record, "paper"), responders)
+            proto.feedback(effective, responders)
             index += 1
         assert extra.tag_id in identified
         assert len(identified) == 11

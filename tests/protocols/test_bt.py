@@ -15,6 +15,7 @@ from repro.core.timing import TimingModel
 from repro.protocols.bt import BinaryTree
 from repro.security.blocker import BlockerTag, MaliciousTag
 from repro.sim.reader import Reader
+from repro.sim.trace import SlotTrace
 from repro.tags.population import TagPopulation
 
 
@@ -41,8 +42,9 @@ class TestInvariants:
         proto.start(pop.tags)
         while not proto.finished:
             responders = proto.responders()
-            time, record = reader._run_slot(0, 0.0, proto, responders, [], [])
-            proto.feedback(record.true_type, responders)
+            trace = SlotTrace()
+            reader._run_slot(0, 0.0, proto, responders, [], [], trace)
+            proto.feedback(trace[-1].true_type, responders)
             assert all(t.counter >= 0 for t in proto.active_tags())
 
     def test_single_tag_one_slot(self, make_population):
